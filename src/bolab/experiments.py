@@ -238,7 +238,8 @@ class RunSummary:
 def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:
     """T0 = min(ln(1/h)/(4 mu0 h), S0/h), rounded down to a snapshot multiple."""
     t0 = math.log(1.0 / h) / (4.0 * cfg.mu0 * h)
-    ref = integrate_reference(pot, s_end=max(4.0, 2.0 * h * t0), ds=1e-3)
+    # A stop event after h*T0 cannot lower min(T0, stop/h): integrate to h*T0 only.
+    ref = integrate_reference(pot, s_end=h * t0 * (1.0 + 1e-12), ds=1e-3)
     if ref.stop_time is not None:
         t0 = min(t0, ref.stop_time / h)
     dt_snap = cfg.dt * cfg.snapshot_stride

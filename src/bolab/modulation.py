@@ -232,7 +232,6 @@ def write_track_csv(path, track: ParameterTrack) -> None:
         w.writerow(["t", "a", "c", "residual", "remainder_L2",
                     "remainder_Hhalf", "remainder_local_sup"])
         for t, d in zip(track.times, track.decompositions):
-            w.writerow([repr(float(t)), repr(d.params.a), repr(d.params.c),
-                        repr(d.residual), repr(l2_norm(d.remainder)),
-                        repr(sobolev_norm(d.remainder, 0.5)),
-                        repr(local_sup_norm(d.remainder))])
+            w.writerow([repr(float(v)) for v in (
+                t, d.params.a, d.params.c, d.residual, l2_norm(d.remainder),
+                sobolev_norm(d.remainder, 0.5), local_sup_norm(d.remainder))])

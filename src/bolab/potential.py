@@ -12,10 +12,30 @@ The shape W is compactly supported.  Three variants:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigurationError
+
+_BUMP_EDGE = 1.0 - 1e-12      # the bump is taken as zero from |s/width| = _BUMP_EDGE on
+
+
+def _bump_chain(beta, w, t, r, phi):
+    """(W, W', W'', W''') of the bump from t = s/w, r = 1 - t^2, phi = exp(-1/r).
+
+    With g = -1/r: W = beta*phi, W' = beta*phi*g1/w,
+    W'' = beta*phi*(g2 + g1^2)/w^2, W''' = beta*phi*(g3 + 3 g1 g2 + g1^3)/w^3.
+    Only arithmetic operators, so the inputs may be floats or arrays.
+    """
+    g1 = -2.0 * t / r ** 2
+    g2 = -2.0 / r ** 2 - 8.0 * t ** 2 / r ** 3
+    g3 = -24.0 * t / r ** 3 - 48.0 * t ** 3 / r ** 4
+    return (beta * phi,
+            beta * phi * g1 / w,
+            beta * phi * (g2 + g1 ** 2) / w ** 2,
+            beta * phi * (g3 + 3.0 * g1 * g2 + g1 ** 3) / w ** 3)
 
 
 class PotentialSpec:
@@ -61,12 +81,27 @@ class PotentialSpec:
     def shape_derivatives(self, s):
         """(W, W', W'', W''') evaluated at shape argument s.
 
-        Scalar input gives scalar outputs.
+        Scalar input gives scalar outputs.  A scalar s (rank 0) of a
+        "bump" or "zero" shape takes a scalar path on plain Python floats
+        and ``math.exp``, returning a 4-tuple of floats: the parameter
+        ODEs' hot loop.  Arrays, and every "custom" input, take the array
+        path, which is the scalar path's reference.  Both paths share the
+        derivative chain `_bump_chain` and differ only in the masking and
+        the ``exp``; they agree to the last ulps of ``exp`` (about 1e-12
+        relative as |s| -> width).
         """
         scalar = np.ndim(s) == 0
+        if scalar and self.shape != "custom":
+            if self.shape == "bump":
+                t = float(s) / self.width
+                if abs(t) < _BUMP_EDGE:
+                    r = 1.0 - t * t
+                    return _bump_chain(self.amplitude, self.width, t, r,
+                                       math.exp(-1.0 / r))
+            return (0.0, 0.0, 0.0, 0.0)
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if self.shape == "zero":
-            out = (np.zeros_like(s),) * 1 + tuple(np.zeros_like(s) for _ in range(3))
+            out = tuple(np.zeros_like(s) for _ in range(4))
         elif self.shape == "custom":
             sp = self._spline
             lo, hi = self._table_range
@@ -84,36 +119,21 @@ class PotentialSpec:
         return out
 
     def _bump_derivatives(self, s):
-        beta, w = self.amplitude, self.width
-        t = s / w
+        t = s / self.width
         r = 1.0 - t * t
-        m = np.abs(t) < 1.0 - 1e-12
-        W = np.zeros_like(s)
-        W1 = np.zeros_like(s)
-        W2 = np.zeros_like(s)
-        W3 = np.zeros_like(s)
-        tm, rm = t[m], r[m]
-        phi = np.exp(-1.0 / rm)
-        g1 = -2.0 * tm / rm ** 2
-        g2 = -2.0 / rm ** 2 - 8.0 * tm ** 2 / rm ** 3
-        g3 = -24.0 * tm / rm ** 3 - 48.0 * tm ** 3 / rm ** 4
-        W[m] = beta * phi
-        W1[m] = beta * phi * g1 / w
-        W2[m] = beta * phi * (g2 + g1 ** 2) / w ** 2
-        W3[m] = beta * phi * (g3 + 3.0 * g1 * g2 + g1 ** 3) / w ** 3
-        return W, W1, W2, W3
+        m = np.abs(t) < _BUMP_EDGE
+        out = tuple(np.zeros_like(s) for _ in range(4))
+        inside = _bump_chain(self.amplitude, self.width, t[m], r[m],
+                             np.exp(-1.0 / r[m]))
+        for v, vm in zip(out, inside):
+            v[m] = vm
+        return out
 
     def w(self, s):
         return self.shape_derivatives(s)[0]
 
     def w1(self, s):
         return self.shape_derivatives(s)[1]
-
-    def w2(self, s):
-        return self.shape_derivatives(s)[2]
-
-    def w3(self, s):
-        return self.shape_derivatives(s)[3]
 
     def sampled_potential(self, x):
         """V(x) = W(h*x) on physical coordinates x."""

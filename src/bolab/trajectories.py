@@ -13,6 +13,13 @@ and the corrected ("exact") flow adds the curvature terms
 Integration of the reference flow stops at the first slow time where C
 reaches 1/2 or 2 (located by bisection); "never" is encoded as an
 explicit None, not a large float.
+
+The stepper carries (A, C) as a pair of Python floats and calls
+``PotentialSpec.shape_derivatives`` with a scalar, so every right-hand
+side takes the potential's scalar path; the arrays of a TrajectoryState
+are built once, at the end.  The array path of ``shape_derivatives`` is
+the scalar path's reference, and the tests keep an RK4 on 2-element
+numpy arrays as the stepper's reference.
 """
 
 from __future__ import annotations
@@ -56,28 +63,28 @@ class TrajectoryState:
 
 
 def _rk4_step(rhs, y, ds):
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * ds * k1)
-    k3 = rhs(y + 0.5 * ds * k2)
-    k4 = rhs(y + ds * k3)
-    return y + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a, c = y
+    ka1, kc1 = rhs(a, c)
+    ka2, kc2 = rhs(a + 0.5 * ds * ka1, c + 0.5 * ds * kc1)
+    ka3, kc3 = rhs(a + 0.5 * ds * ka2, c + 0.5 * ds * kc2)
+    ka4, kc4 = rhs(a + ds * ka3, c + ds * kc3)
+    return (a + ds / 6.0 * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4),
+            c + ds / 6.0 * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4))
 
 
 def _reference_rhs(pot: PotentialSpec):
-    def rhs(y):
-        a, c = y
+    def rhs(a, c):
         w, w1, _, _ = pot.shape_derivatives(a)
-        return np.array([c - w, c * w1])
+        return c - w, c * w1
     return rhs
 
 
 def _exact_rhs(pot: PotentialSpec):
     h2 = pot.h ** 2
-    def rhs(y):
-        a, c = y
+    def rhs(a, c):
         w, w1, w2, w3 = pot.shape_derivatives(a)
-        return np.array([c - w + 0.5 * h2 * w2 / c ** 2,
-                         c * w1 + 0.5 * h2 * w3 / c])
+        return (c - w + 0.5 * h2 * w2 / c ** 2,
+                c * w1 + 0.5 * h2 * w3 / c)
     return rhs
 
 
@@ -90,9 +97,9 @@ def _scale_event(c_prev, c_next):
 
 def _integrate(rhs, s_end: float, ds: float, detect_stop: bool):
     steps = int(math.ceil(s_end / ds - 1e-12))
-    y = np.array([0.0, 1.0])
+    y = (0.0, 1.0)
     times = [0.0]
-    ys = [y.copy()]
+    ys = [y]
     stop = None
     for k in range(steps):
         step_len = min(ds, s_end - k * ds)
@@ -112,12 +119,12 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool):
             s_event = k * ds + 0.5 * (lo + hi)
             y = _rk4_step(rhs, y, 0.5 * (lo + hi))
             times.append(s_event)
-            ys.append(y.copy())
+            ys.append(y)
             stop = s_event
             break
         y = y_next
         times.append(min((k + 1) * ds, s_end))
-        ys.append(y.copy())
+        ys.append(y)
     arr = np.array(ys)
     return np.array(times), arr[:, 0], arr[:, 1], stop
 
@@ -171,7 +178,7 @@ class GronwallReport:
     per_h: list = field(default_factory=list)
 
 
-def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState, h: float) -> GronwallReport:
+def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState) -> GronwallReport:
     """Deviation suprema between two same-frame trajectories on their overlap.
 
     Both inputs are resampled by cubic interpolation onto a common mesh.
@@ -206,34 +213,17 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
         pot = pot_factory(h)
         ref = integrate_reference(pot, s_end, ds)
         ex = integrate_exact(pot, s_end, ds)
-        rep = gronwall_compare(ref, ex, h)
+        rep = gronwall_compare(ref, ex)
         per_h.append((float(h), rep.sup_dev_position, rep.sup_dev_scale))
     hs = np.array([p[0] for p in per_h])
     dev_c = np.array([p[2] for p in per_h])
     if np.any(dev_c <= 0):
         order = None                      # identical trajectories: no order defined
-        sup_a = max(p[1] for p in per_h)
-        sup_c = max(p[2] for p in per_h)
     else:
         order = float(np.polyfit(np.log(hs), np.log(dev_c), 1)[0])
-        sup_a = max(p[1] for p in per_h)
-        sup_c = max(p[2] for p in per_h)
-    return GronwallReport(sup_dev_position=sup_a, sup_dev_scale=sup_c,
+    return GronwallReport(sup_dev_position=max(p[1] for p in per_h),
+                          sup_dev_scale=max(p[2] for p in per_h),
                           fitted_order=order, per_h=per_h)
-
-
-def jacobian_bound(pot: PotentialSpec, positions, scales) -> float:
-    """Largest Frobenius norm of the flow Jacobian along a trajectory.
-
-    The reference field f(A, C) = (C - W(A), C W'(A)) has Jacobian
-    [[-W'(A), 1], [C W''(A), W'(A)]]; its boundedness on the scale window
-    is what makes the exponential comparison argument run.
-    """
-    a = np.asarray(positions, dtype=float)
-    c = np.asarray(scales, dtype=float)
-    _, w1, w2, _ = pot.shape_derivatives(a)
-    fro = np.sqrt(w1 ** 2 + 1.0 + (c * w2) ** 2 + w1 ** 2)
-    return float(np.max(fro))
 
 
 def write_trajectory_csv(path, tr: TrajectoryState) -> None:

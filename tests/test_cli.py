@@ -1,0 +1,18 @@
+"""Command-line subcommands on their default settings."""
+
+import csv
+
+from bolab.cli import main
+
+
+def test_trajectories_defaults_pass(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "trajectories"]) == 0
+    assert "PASS  deviation order" in capsys.readouterr().out
+    for name in ("reference_slow.csv", "exact_slow.csv", "exact_fast.csv"):
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][3:] == ["kind", "frame"]
+        assert len(rows) > 2
+        for row in rows[1:]:
+            for cell in row[:3]:
+                float(cell)
