@@ -22,7 +22,7 @@ from .errors import ConfigurationError, DecompositionError, UsageError
 from .grid import Field, Grid, inner, l2_norm, local_sup_norm, sobolev_norm, translate
 from .potential import PotentialSpec
 from .soliton import (SolitonParams, profile, profile_derivative,
-                      scaled_profile, soliton_field)
+                      profile_second_derivative, scaled_profile, soliton_field)
 
 REGIMES = ("nonsymplectic", "symplectic")
 TUBE_RADIUS_FACTOR = 0.3
@@ -44,12 +44,11 @@ def _constraint_fields(grid: Grid, a: float, c: float, regime: str):
     q = profile(z)
     qp = profile_derivative(z)
     sp = scaled_profile(z)               # q + z q'
-    spd = 8.0 * z * (z * z - 3.0) / (1.0 + z * z) ** 3   # (yq)''
-    qpp = (24.0 * z * z - 8.0) / (1.0 + z * z) ** 3
     m1 = c * q                           # q_{a,c}
     d_a_m1 = -c * c * qp
     d_c_m1 = sp
     if regime == "nonsymplectic":
+        qpp = profile_second_derivative(z)
         m2 = c * c * qp                  # d/dx q_{a,c}
         d_a_m2 = -c ** 3 * qpp
         d_c_m2 = 2.0 * c * qp + c * z * qpp
@@ -81,8 +80,7 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
     iters = 0
     for iters in range(1, MAX_NEWTON_ITERS + 1):
         (m1, m2), da, dc = _constraint_fields(grid, a, c, regime)
-        qac = c * profile(c * (grid.nodes - a))
-        zeta = u.values - qac
+        zeta = u.values - m1             # m1 = q_{a,c}
         g1 = dx * float(zeta @ m1)
         g2 = dx * float(zeta @ m2)
         m1n = math.sqrt(dx) * np.linalg.norm(m1)
@@ -92,14 +90,12 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
         tol2 = max(1e-12 * m2n * zn, 1e-15 * m2n * u_norm)
         if abs(g1) <= tol1 and abs(g2) <= tol2:
             break
-        # dG_i/dp = <zeta, dp m_i> - <dp q_{a,c}, m_i>; dp q = (-d/dx q, d/dc q)
-        dqa = -c * c * profile_derivative(c * (grid.nodes - a))
-        dqc = scaled_profile(c * (grid.nodes - a))
+        # dG_i/dp = <zeta, dp m_i> - <dp q_{a,c}, m_i>, and dp q_{a,c} = dp m1
         j = np.empty((2, 2))
-        j[0, 0] = dx * (zeta @ da[0] - dqa @ m1)
-        j[0, 1] = dx * (zeta @ dc[0] - dqc @ m1)
-        j[1, 0] = dx * (zeta @ da[1] - dqa @ m2)
-        j[1, 1] = dx * (zeta @ dc[1] - dqc @ m2)
+        j[0, 0] = dx * (zeta @ da[0] - da[0] @ m1)
+        j[0, 1] = dx * (zeta @ dc[0] - dc[0] @ m1)
+        j[1, 0] = dx * (zeta @ da[1] - da[0] @ m2)
+        j[1, 1] = dx * (zeta @ dc[1] - dc[0] @ m2)
         try:
             step = np.linalg.solve(j, -np.array([g1, g2]))
         except np.linalg.LinAlgError as exc:
@@ -114,11 +110,11 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
     else:
         raise DecompositionError(
             f"Newton did not converge within {MAX_NEWTON_ITERS} iterations")
+    # the loop left through its test: zeta, m1 and m2 belong to the final (a, c)
     params = SolitonParams(a=a, c=c)
-    zeta_field = u - soliton_field(grid, params)
+    zeta_field = Field(grid, zeta)
     remainder = translate(zeta_field, a)
     rem_norm = max(l2_norm(remainder), 1e-300)
-    (m1, m2), _, _ = _constraint_fields(grid, a, c, regime)
     res = max(
         abs(dx * float(zeta_field.values @ m1))
         / (math.sqrt(dx) * np.linalg.norm(m1) * rem_norm + 1e-300),
@@ -149,28 +145,33 @@ class ParameterTrack:
 def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> ParameterTrack:
     """Decompose a snapshot sequence, warm-starting each fit from the last.
 
-    Consecutive snapshots must be close: the translation parameter may
-    move at most 2*c*dt between them (continuity guard).
+    The soliton travels at speed c, so each fit starts from the previous
+    one moved forward: (a + c*dt, c).  Consecutive fits must be close:
+    the translation parameter may move at most 2*c*dt between them
+    (continuity guard, against the previous fit).
     """
     decomps = []
     times = []
-    guess = initial_guess
-    prev_time = None
+    prev = prev_time = None
     for k, snap in enumerate(snapshots):
+        if prev is None:
+            guess = initial_guess
+        else:
+            dt = snap.time - prev_time
+            guess = SolitonParams(prev.a + prev.c * dt, prev.c)
         try:
             d = decompose(snap.field, regime, guess)
         except DecompositionError as exc:
             raise DecompositionError(f"snapshot {k} (t={snap.time:.6g}): {exc}") from exc
-        if prev_time is not None:
-            dt = snap.time - prev_time
-            if abs(d.params.a - guess.a) > 2.0 * max(d.params.c, guess.c) * dt + 1e-9:
+        if prev is not None:
+            jump = abs(d.params.a - prev.a)
+            if jump > 2.0 * max(d.params.c, prev.c) * dt + 1e-9:
                 raise DecompositionError(
-                    f"snapshot {k}: parameter jump |da| = "
-                    f"{abs(d.params.a - guess.a):.3g} exceeds continuity bound")
+                    f"snapshot {k}: parameter jump |da| = {jump:.3g} "
+                    f"exceeds continuity bound")
         decomps.append(d)
         times.append(snap.time)
-        guess = d.params
-        prev_time = snap.time
+        prev, prev_time = d.params, snap.time
     return ParameterTrack(times=np.array(times), decompositions=decomps)
 
 

@@ -145,6 +145,12 @@ class PotentialSpec:
             return ("custom", self.h, rng, self._spline.c.tobytes())
         return (self.shape, self.h, self.amplitude, self.width)
 
+    def __eq__(self, other):
+        return isinstance(other, PotentialSpec) and other.key() == self.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
     def __repr__(self):
         if self.shape == "bump":
             return (f"PotentialSpec(h={self.h}, bump, amplitude={self.amplitude}, "

@@ -1,5 +1,8 @@
 """Time integration of the perturbed, free, and linearized flows."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, step_linearized, step_pbo, write_checkpoint)
-from bolab.evolution import reflect
+from bolab.evolution import _pbo_tables, reflect
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -189,6 +192,131 @@ class TestStepLinearized:
         force = Field(grid_small, np.exp(-grid_small.nodes ** 2))
         out = step_linearized(EvolutionState(0.0, v0), 0.01, force)
         assert l2_norm(out.field) > 0
+
+
+def _perturbed_soliton(grid, centre=3.0):
+    y = grid.nodes
+    return soliton_field(grid, SolitonParams(0.0, 1.0)) \
+        + Field(grid, 0.01 * np.exp(-((y - centre) / 4.0) ** 2))
+
+
+def _linearized_forcing(grid):
+    return Field(grid, 0.1 * np.exp(-((grid.nodes + 5.0) / 6.0) ** 2))
+
+
+def _rel_l2(f, g):
+    return l2_norm(f - g) / l2_norm(g)
+
+
+class TestDriver:
+    @pytest.mark.parametrize("flow", ["pbo-free", "pbo-potential", "linearized"])
+    def test_eight_fft_calls_per_step(self, flow, monkeypatch):
+        # the state stays spectral: one irfft and one (batched) rfft per
+        # stage; snapshots are taken off by differencing two run lengths
+        g = Grid(256, 64.0)
+        if flow == "linearized":
+            initial = EvolutionState(0.0, Field(g, 0.1 * np.exp(-g.nodes ** 2)))
+            force = _linearized_forcing(g)
+
+            def run(n):
+                return evolve_linearized(initial, n * 0.01, 0.01, forcing=force,
+                                         snapshot_stride=100)
+        else:
+            pot = PotentialSpec.bump(0.1) if flow == "pbo-potential" else None
+            initial = EvolutionState(0.0, _perturbed_soliton(g), pot)
+
+            def run(n):
+                return evolve_pbo(initial, n * 0.01, 0.01, snapshot_stride=100)
+
+        run(2)                       # builds the cached tables
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        counts = []
+        for n in (3, 8):
+            calls.clear()
+            run(n)
+            counts.append(len(calls))
+        assert (counts[1] - counts[0]) / 5 == 8
+
+    def test_evolve_pbo_matches_repeated_steps(self, grid_small):
+        state = EvolutionState(0.0, _perturbed_soliton(grid_small),
+                               PotentialSpec.bump(0.1))
+        res = evolve_pbo(state, 0.2, 0.01, snapshot_stride=5)
+        for k in range(20):
+            state = step_pbo(state, 0.01)
+            if (k + 1) % 5 == 0:
+                snap = res.states[(k + 1) // 5]
+                assert _rel_l2(snap.field, state.field) <= 1e-12
+
+    def test_evolve_linearized_matches_repeated_steps(self, grid_small):
+        v0 = Field(grid_small, np.exp(-((grid_small.nodes - 5.0) / 6.0) ** 2)
+                   * np.sin(0.7 * grid_small.nodes))
+        force = _linearized_forcing(grid_small)
+        state = EvolutionState(0.0, v0)
+        res = evolve_linearized(state, 0.2, 0.01, forcing=force, snapshot_stride=20)
+        for _ in range(20):
+            state = step_linearized(state, 0.01, force)
+        assert _rel_l2(res.states[-1].field, state.field) <= 1e-12
+
+    def test_snapshot_times_are_step_multiples(self, grid_small):
+        # t0 + k*dt after k steps, not a running sum of dt
+        t0, dt, stride, n_steps = 0.3, 0.01, 10, 25
+        state = EvolutionState(t0, soliton_field(grid_small, SolitonParams(0.0, 1.0)))
+        res = evolve_pbo(state, n_steps * dt, dt, snapshot_stride=stride)
+        expect = t0 + dt * np.array([0, 10, 20, 25])
+        assert np.array_equal(res.times, expect)
+        assert res.times[-1] == t0 + n_steps * dt
+        assert [s.time for s in res.states] == list(res.times)
+
+    def test_threaded_runs_match_serial_bit_for_bit(self):
+        # sweep members run in threads, more of them than cores, with
+        # frequent thread switches; each run owns its work buffer
+        g = Grid(2048, 256.0)
+        pots = (PotentialSpec.bump(0.1), PotentialSpec.bump(0.05)) * 2
+
+        def member(pot):
+            res = evolve_pbo(EvolutionState(0.0, _perturbed_soliton(g), pot),
+                             1.0, 0.01, snapshot_stride=10)
+            return np.array([s.field.values for s in res.states])
+
+        serial = [member(p) for p in pots]
+        _pbo_tables.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(member, p) for p in pots]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    def test_tables_are_shared_per_grid_dt_and_potential(self, grid_small):
+        first = _pbo_tables(grid_small, 0.01, PotentialSpec.bump(0.1))
+        assert _pbo_tables(Grid(1024, 256.0), 0.01, PotentialSpec.bump(0.1)) is first
+        assert _pbo_tables(grid_small, 0.01, PotentialSpec.bump(0.05)) is not first
+        assert _pbo_tables(grid_small, 0.02, PotentialSpec.bump(0.1)) is not first
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_raises(self, grid_small):
+        u0 = 1e200 * soliton_field(grid_small, SolitonParams(0.0, 1.0))
+        with pytest.raises(EvolutionError, match="non-finite state after step at t = 0.0"):
+            evolve_pbo(EvolutionState(0.0, u0, None), 1.0, 0.01, snapshot_stride=1000)
+
+    def test_evolve_dt_must_be_positive(self, grid_small):
+        state = EvolutionState(0.0, Field.zeros(grid_small))
+        with pytest.raises(ConfigurationError):
+            evolve_pbo(state, 1.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            evolve_linearized(state, 1.0, -0.01)
 
 
 class TestCheckpoint:

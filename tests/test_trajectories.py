@@ -104,6 +104,14 @@ class TestShapeDerivatives:
         assert all(type(v) is float for v in got)
         np.testing.assert_allclose(got, [0.125, 0.75, 3.0, 6.0], rtol=1e-12)
 
+    def test_specs_compare_by_key(self):
+        # the evolution layer caches its tables per potential
+        assert PotentialSpec.bump(0.1) == PotentialSpec.bump(0.1)
+        assert hash(PotentialSpec.bump(0.1)) == hash(PotentialSpec.bump(0.1))
+        assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, amplitude=0.3)
+        assert PotentialSpec.bump(0.1) != PotentialSpec.zero(0.1)
+        assert PotentialSpec.bump(0.1) != "bump"
+
 
 # ---------------------------------------------------------------------------
 # integrators
