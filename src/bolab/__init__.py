@@ -11,7 +11,7 @@ Submodules, roughly bottom-up:
     evolution     perturbed / free / linearized time integration
     modulation    soliton-parameter extraction and tracking
     trajectories  reference and corrected parameter ODE systems
-    virial        local-smoothing and monotonicity diagnostics
+    virial        local-smoothing diagnostics of the linearized flow
     experiments   sweeps, scaling fits, reporting
     cli           command-line interface
 """
@@ -42,8 +42,7 @@ from .modulation import (ConversionReport, Decomposition, ParameterTrack,
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,
                            gronwall_compare, gronwall_sweep,
                            integrate_exact, integrate_reference)
-from .virial import (LinearizedRunSpec, MonotonicitySpec, VirialReport,
-                     g_remainder, local_smoothing_lhs, monotonicity_mass,
-                     virial_sweep)
+from .virial import (LinearizedRunSpec, VirialReport, g_remainder,
+                     local_smoothing_lhs, virial_sweep)
 from .experiments import (ExperimentConfig, RunSummary, fit_scaling_exponent,
                           ode_residuals, run_theorem_sweep)

@@ -13,8 +13,9 @@ Both flows run through one driver, ``_evolve``.  It transforms the
 initial field once and keeps the ETDRK4 state as its rfft spectrum from
 the first step to the last; a snapshot is one irfft into a ``Field``
 (time t0 + k*dt after k steps), and the finiteness check after every
-step reads the spectrum.  Each of the four stages of a step makes two
-FFT calls, so a step makes eight:
+step and the pBO blow-up guard at each snapshot read the spectrum.
+Each of the four stages of a step makes two FFT calls, so a step makes
+eight:
 
 * pBO: one irfft of the stage spectrum, then one rfft of u^2 or, with a
   potential, one batched rfft of the 2 x N array [u^2, V u].  The
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, EvolutionError, UsageError
-from .grid import Field, Grid, hilbert, derivative, inner, l2_norm, sobolev_norm, integral
+from .grid import (Field, Grid, _spectrum_sobolev_norm, derivative, hilbert, inner,
+                   integral, l2_norm, sobolev_norm)
 from .potential import PotentialSpec
 from .soliton import profile, profile_derivative
 from .operators import projector_weight_field
@@ -292,7 +294,8 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
     """Take n_steps steps from `initial`, keeping every stride-th state and the last.
 
     The state stays in Fourier space between snapshots; a snapshot is one
-    irfft, timed t0 + k*dt after k steps, then passed to `guard`.
+    irfft, timed t0 + k*dt after k steps, then passed to `guard` together
+    with its spectrum.
     """
     tables, nonlinear = flow
     grid = initial.field.grid
@@ -307,7 +310,7 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
                                    Field(grid, np.fft.irfft(uh, n=grid.n_points)),
                                    initial.potential)
             if guard is not None:
-                guard(state)
+                guard(state, uh)
             states.append(state)
     return EvolveResult(states=states, times=np.array([s.time for s in states]))
 
@@ -326,8 +329,8 @@ def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
     guard_norm = blowup_factor * max(sobolev_norm(initial.field, 0.5), 1e-12)
     quarter = grid.domain_length / 4.0
 
-    def guard(state):
-        if sobolev_norm(state.field, 0.5) > guard_norm:
+    def guard(state, uh):
+        if _spectrum_sobolev_norm(uh, grid, 0.5) > guard_norm:
             raise EvolutionError(f"blow-up guard tripped at t = {state.time:.6g}")
         if seam_guard:
             peak = grid.nodes[int(np.argmax(state.field.values))]

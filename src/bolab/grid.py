@@ -235,8 +235,11 @@ def sobolev_norm(f: Field, s: float) -> float:
     The Plancherel weight L/N^2 (doubled off the DC/Nyquist bins of the
     half spectrum) makes s = 0 agree with the quadrature of f^2.
     """
-    g = f.grid
-    spec = np.fft.rfft(f.values)
+    return _spectrum_sobolev_norm(np.fft.rfft(f.values), f.grid, s)
+
+
+def _spectrum_sobolev_norm(spec, g: Grid, s: float) -> float:
+    """sobolev_norm of the field whose rfft spectrum on grid g is spec."""
     w = np.full(spec.shape, 2.0)
     w[0] = 1.0
     if g.n_points % 2 == 0:

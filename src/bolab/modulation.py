@@ -64,7 +64,10 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
 
     Requires u within the soliton tube around the guess (H^{1/2}
     distance at most 0.3 * guess.c); diverging Newton iterations raise
-    DecompositionError.
+    DecompositionError.  The iteration stops when both residuals meet
+    their tolerance, or when the damped update changes neither a nor c
+    (the floating-point floor); the fit then reports the residual it
+    reached.
     """
     if regime not in REGIMES:
         raise ConfigurationError(f"unknown regime {regime!r}")
@@ -103,14 +106,18 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
         damp = 1.0
         while c + damp * step[1] <= 0.1 * guess.c and damp > 1e-4:
             damp *= 0.5
-        a += damp * step[0]
-        c += damp * step[1]
+        a_next = a + damp * step[0]
+        c_next = c + damp * step[1]
+        if a_next == a and c_next == c:
+            # the update is below the last bit of both: this is the floor
+            break
+        a, c = a_next, c_next
         if not (np.isfinite(a) and np.isfinite(c)):
             raise DecompositionError("Newton iteration diverged to non-finite parameters")
     else:
         raise DecompositionError(
             f"Newton did not converge within {MAX_NEWTON_ITERS} iterations")
-    # the loop left through its test: zeta, m1 and m2 belong to the final (a, c)
+    # the loop left through a test: zeta, m1 and m2 belong to the final (a, c)
     params = SolitonParams(a=a, c=c)
     zeta_field = Field(grid, zeta)
     remainder = translate(zeta_field, a)

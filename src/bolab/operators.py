@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DiagnosticError, UsageError
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
-                   dgamma_inverse_adjoint, fractional_derivative, inner)
+                   fractional_derivative, inner)
 from .soliton import profile, profile_second_derivative, scaled_profile
 
 VALID_KINDS = ("linearized", "linearized_scaled", "virial", "projector", "dual")

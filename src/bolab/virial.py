@@ -7,9 +7,17 @@ derivative norm
 
 compared against the global-in-space supremum norm plus a forcing
 remainder; the claim probed by the sweep is that their ratio is bounded
-uniformly in the window length and the localizer center.  The weighted
-mass with the arctan step profile provides the companion monotonicity
-diagnostic.
+uniformly in the window length and the localizer center.
+
+The forcing remainder pairs each snapshot v with the forcing f twice:
+<g_y0 v, f_y> + <g_0 R L v, R L f_y>, with L = I + |D| - q (self-adjoint)
+and R = (1 + gamma d/dy)^{-1} (adjoint R^*).  Moving the second pairing
+onto v through the adjoint gives one weight per forcing profile,
+
+    W_f = g_y0 f_y + L R^*(g_0 R L f_y),    term = <v, W_f>,
+
+so a window with one static forcing costs the 10 FFTs of W_f once and a
+quadrature per snapshot, rather than 10 FFTs per snapshot.
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import (Field, LocalizerSpec, dgamma_inverse, derivative, inner,
-                   l2_norm, localizer, sobolev_norm)
+from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse_adjoint,
+                   inner, l2_norm, localizer, sobolev_norm)
 from .operators import OperatorSpec, apply_operator
 from .soliton import profile, profile_derivative
 
@@ -35,23 +43,6 @@ class VirialReport:
     rhs_norm: float         # sup-in-time squared L2 norm
     g_remainder: float
     ratio: float
-
-
-@dataclass
-class MonotonicitySpec:
-    """Weight parameters for the slowly-turning mass functional."""
-
-    A: float = 10.0
-    lam: float = 0.5
-    y0: float = 10.0
-
-    def __post_init__(self):
-        if not (self.A > 0):
-            raise ConfigurationError("A must be positive")
-        if not (0 < self.lam < 1):
-            raise ConfigurationError("lambda must lie in (0, 1)")
-        if not (self.y0 > 1):
-            raise ConfigurationError("y0 must exceed 1")
 
 
 def _time_trapezoid(values, dt: float) -> float:
@@ -74,14 +65,32 @@ def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
     return _time_trapezoid(vals, dt)
 
 
+def _forcing_weight(f: Field, g_y0: Field, g_origin: Field, gamma: float) -> Field:
+    """W_f = g_y0 f_y + L R^*(g_0 R L f_y): a snapshot's two pairings with f as one field."""
+    fy = derivative(f)
+    dual_fy = apply_operator(OperatorSpec("dual", gamma=gamma), fy)
+    back = dgamma_inverse_adjoint(g_origin * dual_fy, gamma)
+    return g_y0 * fy + apply_operator(OperatorSpec("linearized"), back)
+
+
 def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
                 gamma: float) -> float:
     """Forcing remainder of the local-smoothing estimate.
 
     Two time-integrated couplings: the localizer at the probe center
     against v * d_y f, and the localizer at the origin against the
-    regularized dual pairings of v and d_y f.
+    regularized dual pairings of v and d_y f,
+
+        <g_y0 v, f_y> + <g_0 R L v, R L f_y> = <v, W_f>,
+        W_f = g_y0 f_y + L R^*(g_0 R L f_y).
+
+    W_f costs 10 FFTs and is rebuilt only when a snapshot's forcing is
+    not the same object as the previous one's, so a list that repeats
+    one static forcing costs 10 FFTs per call; each snapshot term is one
+    quadrature.
     """
+    if dt <= 0:
+        raise ConfigurationError("dt must be positive")
     if len(v_snapshots) != len(f_snapshots):
         raise UsageError("v and f snapshot lists must match in length")
     if len(v_snapshots) < 2:
@@ -89,13 +98,12 @@ def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
     grid = v_snapshots[0].grid
     g_y0, _ = localizer(spec, grid)
     g_origin, _ = localizer(LocalizerSpec(spec.gamma, 0.0), grid)
-    dual = OperatorSpec("dual", gamma=gamma)
     term = []
+    weight = f_prev = None
     for v, f in zip(v_snapshots, f_snapshots):
-        fy = derivative(f)
-        first = inner(g_y0 * v, fy)
-        second = inner(g_origin * apply_operator(dual, v), apply_operator(dual, fy))
-        term.append(first + second)
+        if f is not f_prev:
+            weight, f_prev = _forcing_weight(f, g_y0, g_origin, gamma), f
+        term.append(inner(v, weight))
     return _time_trapezoid(term, dt)
 
 
@@ -158,35 +166,3 @@ def virial_sweep(run: LinearizedRunSpec, gammas, y0s) -> list:
                     rhs_norm=rhs, g_remainder=grem,
                     ratio=lhs / denom if denom > 0 else math.inf))
     return reports
-
-
-def monotonicity_mass(v: Field, spec: MonotonicitySpec, shift: float = 0.0) -> float:
-    """Weighted mass with the arctan step: integral of v^2 (phi(y-y0-shift) - phi(-y0-shift)).
-
-    phi(y) = pi/2 + arctan(y/A); the weight vanishes far left and
-    approaches pi - phi(-y0-shift) far right.
-    """
-    y = v.grid.nodes
-    phi_shifted = 0.5 * math.pi + np.arctan((y - spec.y0 - shift) / spec.A)
-    phi_ref = 0.5 * math.pi + math.atan((-spec.y0 - shift) / spec.A)
-    w = phi_shifted - phi_ref
-    return float(v.grid.spacing * np.sum(v.values ** 2 * w))
-
-
-def monotonicity_violation(snapshots, times, spec: MonotonicitySpec) -> float:
-    """Largest violation of the transported-weight comparison, relative to t=0.
-
-    For the final time t_end, checks mass(t_end, shift=0) against
-    mass(t, shift=lam*(t_end - t)) for every earlier snapshot; positive
-    return values measure by how much the end mass exceeds the
-    transported masses (the monotonicity claim makes this small).
-    """
-    if len(snapshots) != len(times) or len(snapshots) < 2:
-        raise UsageError("snapshot/time lists must match and hold >= 2 entries")
-    t_end = times[-1]
-    end_mass = monotonicity_mass(snapshots[-1], spec, 0.0)
-    worst = 0.0
-    for f, t in zip(snapshots[:-1], times[:-1]):
-        transported = monotonicity_mass(f, spec, spec.lam * (t_end - t))
-        worst = max(worst, end_mass - transported)
-    return worst

@@ -16,3 +16,14 @@ def test_trajectories_defaults_pass(tmp_path, capsys):
         for row in rows[1:]:
             for cell in row[:3]:
                 float(cell)
+
+
+def test_evolve_under_a_potential_passes(tmp_path, capsys):
+    # the mass is not conserved under V (d/dt M = 1/2 int V' u^2): it is
+    # reported, and only the energy drift is gated
+    assert main(["--out", str(tmp_path), "evolve", "--t-end", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "INFO  relative mass drift under V" in out
+    assert "PASS  relative energy drift" in out
+    assert "FAIL" not in out
+    assert (tmp_path / "final.bosl").exists() and (tmp_path / "track.csv").exists()

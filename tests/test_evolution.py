@@ -218,17 +218,17 @@ class TestDriver:
             initial = EvolutionState(0.0, Field(g, 0.1 * np.exp(-g.nodes ** 2)))
             force = _linearized_forcing(g)
 
-            def run(n):
+            def run(n, stride):
                 return evolve_linearized(initial, n * 0.01, 0.01, forcing=force,
-                                         snapshot_stride=100)
+                                         snapshot_stride=stride)
         else:
             pot = PotentialSpec.bump(0.1) if flow == "pbo-potential" else None
             initial = EvolutionState(0.0, _perturbed_soliton(g), pot)
 
-            def run(n):
-                return evolve_pbo(initial, n * 0.01, 0.01, snapshot_stride=100)
+            def run(n, stride):
+                return evolve_pbo(initial, n * 0.01, 0.01, snapshot_stride=stride)
 
-        run(2)                       # builds the cached tables
+        run(2, 100)                  # builds the cached tables
         calls = []
         for name in ("rfft", "irfft"):
             original = getattr(np.fft, name)
@@ -237,12 +237,18 @@ class TestDriver:
                 calls.append(1)
                 return _original(*args, **kwargs)
             monkeypatch.setattr(np.fft, name, counted)
-        counts = []
-        for n in (3, 8):
-            calls.clear()
-            run(n)
-            counts.append(len(calls))
-        assert (counts[1] - counts[0]) / 5 == 8
+
+        def per_step(stride):
+            counts = []
+            for n in (3, 8):
+                calls.clear()
+                run(n, stride)
+                counts.append(len(calls))
+            return (counts[1] - counts[0]) / 5
+
+        assert per_step(100) == 8
+        # a snapshot adds its one irfft: the pBO blow-up guard reads the spectrum
+        assert per_step(1) == 9
 
     def test_evolve_pbo_matches_repeated_steps(self, grid_small):
         state = EvolutionState(0.0, _perturbed_soliton(grid_small),

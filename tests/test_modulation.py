@@ -1,14 +1,17 @@
 """Soliton-parameter extraction, tracking and the CSV report."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bolab import (DecompositionError, EvolutionState, Field, Grid,
                    ParameterTrack, SolitonParams, decompose, evolve_pbo,
-                   soliton_field, track_parameters)
+                   read_checkpoint, soliton_field, track_parameters)
 from bolab.modulation import write_track_csv
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_track_csv_cells_are_plain_floats(tmp_path):
@@ -62,3 +65,16 @@ def test_decompose_recovers_parameters(regime):
     assert d.params.a == pytest.approx(0.03, abs=2e-3)
     assert d.params.c == pytest.approx(1.02, abs=2e-3)
     assert d.residual <= 1e-10
+
+
+def test_decompose_stops_at_the_floating_point_floor():
+    # the h = 0.025 sweep member at t = 34.9: from its moved guess, Newton
+    # reaches (a, c) to the last bit while the second residual stalls at
+    # 3.90e-14 against a tolerance of 3.43e-14; the fit must still return
+    state = read_checkpoint(DATA / "newton_floor_h0.025_t34.9.bosl")
+    d = decompose(state.field, "symplectic",
+                  SolitonParams(32.338114918888415, 0.9366148032960593))
+    assert d.params.a == pytest.approx(32.33697924577128, rel=1e-13)
+    assert d.params.c == pytest.approx(0.936269801865343, rel=1e-13)
+    assert d.newton_iters <= 5
+    assert d.residual <= 1e-11
