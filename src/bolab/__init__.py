@@ -36,8 +36,7 @@ from .spectral import (DenseOperator, EigenReport, angle_lemma_bound,
 from .evolution import (EvolutionState, InvariantReport, evolve_linearized,
                         evolve_pbo, invariants, read_checkpoint, step_linearized,
                         step_pbo, write_checkpoint)
-from .modulation import (ConversionReport, Decomposition, ParameterTrack,
-                         convert_decompositions, decompose, e2_remainder,
+from .modulation import (Decomposition, ParameterTrack, decompose,
                          track_parameters)
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,
                            gronwall_compare, gronwall_sweep,

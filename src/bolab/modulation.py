@@ -1,6 +1,5 @@
 """Soliton-parameter extraction: u = q_{a,c} + remainder under two
-orthogonality regimes, trajectory tracking, and the Taylor remainder of
-the slowly varying potential.
+orthogonality regimes, and trajectory tracking.
 
 The parameter fit is a 2x2 Newton iteration on the orthogonality
 conditions with an analytically assembled Jacobian (derivative fields of
@@ -18,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DecompositionError, UsageError
-from .grid import Field, Grid, inner, l2_norm, local_sup_norm, sobolev_norm, translate
-from .potential import PotentialSpec
+from .errors import ConfigurationError, DecompositionError
+from .grid import Field, Grid, l2_norm, local_sup_norm, sobolev_norm, translate
 from .soliton import (SolitonParams, profile, profile_derivative,
                       profile_second_derivative, scaled_profile, soliton_field)
 
@@ -180,57 +178,6 @@ def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> Pa
         times.append(snap.time)
         prev, prev_time = d.params, snap.time
     return ParameterTrack(times=np.array(times), decompositions=decomps)
-
-
-def e2_remainder(grid: Grid, a: float, pot: PotentialSpec) -> Field:
-    """Second-order Taylor remainder of the potential shape around the soliton.
-
-    e2(y, a) = W(h(y+a)) - W(h a) - h W'(h a) y, sampled exactly.
-    """
-    h = pot.h
-    w_at = pot.shape_derivatives(h * (grid.nodes + a))[0]
-    w0, w1, _, _ = pot.shape_derivatives(h * a)
-    return Field(grid, w_at - w0 - h * w1 * grid.nodes)
-
-
-@dataclass
-class ConversionReport:
-    decomposition: Decomposition        # direct symplectic decomposition
-    predicted_remainder: Field          # first-order prediction, recentered
-    prediction_gap: float               # L2 distance direct vs predicted
-    hhalf_ratio: float                  # ||symplectic rem|| / ||nonsymplectic rem|| in H^1/2
-
-
-def convert_decompositions(d: Decomposition, u: Field) -> ConversionReport:
-    """Convert a nonsymplectic decomposition to the symplectic regime.
-
-    Computes the symplectic decomposition directly and also the
-    first-order predicted remainder
-        eta ~ zeta + 2||q||^{-2} q'_{a,c} <zeta, (x-a) q_{a,c}>
-                  - 2||q||^{-2} ((x-a) q_{a,c})' <zeta, q_{a,c}>
-    evaluated at the nonsymplectic parameters, recording the gap.
-    """
-    if d.regime != "nonsymplectic":
-        raise UsageError("conversion starts from a nonsymplectic decomposition")
-    direct = decompose(u, "symplectic", d.params)
-    grid = u.grid
-    a, c = d.params.a, d.params.c
-    z = c * (grid.nodes - a)
-    zeta = u - soliton_field(grid, d.params)       # x-frame remainder
-    qprime = Field(grid, c * c * profile_derivative(z))
-    xq = Field(grid, z * profile(z))               # (x-a) q_{a,c}
-    xq_prime = Field(grid, c * scaled_profile(z))  # d/dx[(x-a) q_{a,c}]
-    inv = 2.0 / (8.0 * math.pi)
-    eta_pred = (zeta + inv * inner(zeta, xq) * qprime
-                - inv * inner(zeta, soliton_field(grid, d.params)) * xq_prime)
-    eta_pred_centered = translate(eta_pred, a)
-    gap = l2_norm(direct.remainder - eta_pred_centered)
-    num = sobolev_norm(direct.remainder, 0.5)
-    den = max(sobolev_norm(d.remainder, 0.5), 1e-300)
-    return ConversionReport(decomposition=direct,
-                            predicted_remainder=eta_pred_centered,
-                            prediction_gap=gap,
-                            hhalf_ratio=num / den)
 
 
 def write_track_csv(path, track: ParameterTrack) -> None:

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ConfigurationError, DiagnosticError, UsageError
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
                    fractional_derivative, inner)
-from .soliton import profile, profile_second_derivative, scaled_profile
+from .soliton import (profile, profile_derivative, profile_second_derivative,
+                      scaled_profile)
 
 VALID_KINDS = ("linearized", "linearized_scaled", "virial", "projector", "dual")
 
@@ -79,7 +80,7 @@ def apply_operator(spec: OperatorSpec, f: Field) -> Field:
         w = scaled_profile(y)          # (yq)' = yq' + q
         return 2.0 * fractional_derivative(f, 1.0) + f - Field(g, w * f.values)
     if spec.kind == "projector":
-        qp = Field(g, -8.0 * y / (1.0 + y * y) ** 2)
+        qp = Field(g, profile_derivative(y))
         coef = inner(f, projector_weight_field(g)) / (4.0 * math.pi)
         return coef * qp
     if spec.kind == "dual":

@@ -89,8 +89,14 @@ class PotentialSpec:
         derivative chain `_bump_chain` and differ only in the masking and
         the ``exp``; they agree to the last ulps of ``exp`` (about 1e-12
         relative as |s| -> width).
+
+        Rank 0 is decided by ``isinstance(s, float)`` before ``np.ndim``:
+        Python floats and ``np.float64`` (a ``float`` subclass) skip
+        numpy's dispatch, which costs about as much as the scalar
+        arithmetic; ints, other numpy scalars and 0-d arrays still reach
+        ``np.ndim``, so every input takes the path its rank gives it.
         """
-        scalar = np.ndim(s) == 0
+        scalar = isinstance(s, float) or np.ndim(s) == 0
         if scalar and self.shape != "custom":
             if self.shape == "bump":
                 t = float(s) / self.width
@@ -139,11 +145,15 @@ class PotentialSpec:
         """V(x) = W(h*x) on physical coordinates x."""
         return self.w(self.h * np.asarray(x, dtype=float))
 
-    def key(self):
+    def shape_key(self):
+        """Identity of the shape W alone: `key` without the slow scale h."""
         if self.shape == "custom":
-            rng = self._table_range
-            return ("custom", self.h, rng, self._spline.c.tobytes())
-        return (self.shape, self.h, self.amplitude, self.width)
+            return ("custom", self._table_range, self._spline.c.tobytes())
+        return (self.shape, self.amplitude, self.width)
+
+    def key(self):
+        shape, *rest = self.shape_key()
+        return (shape, self.h, *rest)
 
     def __eq__(self, other):
         return isinstance(other, PotentialSpec) and other.key() == self.key()

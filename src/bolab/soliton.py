@@ -65,6 +65,21 @@ def scaled_profile_derivative(y):
     return 8.0 * y * (y * y - 3.0) / (1.0 + y * y) ** 3
 
 
+def periodic_profile_hilbert(y, length: float):
+    """H(q_per)(y) = -(4 pi/L) sin(2 pi y/L)/(cosh(2 pi/L) - cos(2 pi y/L)).
+
+    The Hilbert transform (multiplier i sgn(xi), as `grid.hilbert`) of
+    the L-periodic image sum q_per(y) = sum_n q(y + nL), whose Fourier
+    coefficients are 4 pi/L exp(-2 pi |k|/L).  It tends to the real-line
+    transform H(q) = -y q as L -> infinity; on a box of length L the two
+    differ by O(L^(-1/2)) in L^2.  The denominator is evaluated as
+    2 (sinh^2(pi/L) + sin^2(pi y/L)), free of cancellation for large L.
+    """
+    y = np.asarray(y, dtype=float)
+    k = 2.0 * math.pi / length
+    return -k * np.sin(k * y) / (math.sinh(0.5 * k) ** 2 + np.sin(0.5 * k * y) ** 2)
+
+
 def soliton_field(grid: Grid, p: SolitonParams) -> Field:
     """Sample c*q(c*(x-a)) exactly at the grid nodes."""
     return Field(grid, p.c * profile(p.c * (grid.nodes - p.a)))

@@ -1,6 +1,7 @@
 """Command-line subcommands on their default settings."""
 
 import csv
+import json
 
 from bolab.cli import main
 
@@ -27,3 +28,18 @@ def test_evolve_under_a_potential_passes(tmp_path, capsys):
     assert "PASS  relative energy drift" in out
     assert "FAIL" not in out
     assert (tmp_path / "final.bosl").exists() and (tmp_path / "track.csv").exists()
+
+
+def test_identities_defaults_pass(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "identities"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  H(q) - H(q_per) closed form" in out
+    assert "FAIL" not in out
+
+
+def test_spectrum_defaults_pass(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "spectrum"]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text(encoding="utf-8"))
+    assert report["schema_version"] == 1
+    assert len(report["discrete_eigenvalues"]) == 3
+    assert "FAIL" not in capsys.readouterr().out

@@ -6,8 +6,9 @@ import pytest
 from bolab import (ConfigurationError, Field, Grid, SolitonParams,
                    closed_form_table, eigenfunction_field, hilbert, inner,
                    l2_norm, soliton_field, soliton_residual)
-from bolab.soliton import (profile, profile_derivative, scaled_profile,
-                           soliton_derivative_field, soliton_scale_field)
+from bolab.soliton import (periodic_profile_hilbert, profile, profile_derivative,
+                           scaled_profile, soliton_derivative_field,
+                           soliton_scale_field)
 
 
 class TestProfileSampling:
@@ -90,6 +91,22 @@ class TestPointwiseIdentities:
             q = Field(g, profile(g.nodes))
             errs.append(l2_norm(hilbert(q) + Field(g, g.nodes * profile(g.nodes))))
         assert errs[1] < errs[0]
+
+    def test_hilbert_matches_periodised_profile(self):
+        # the box transform of q is the transform of the image sum q_per;
+        # the residual falls as L^(-3/2), the real-line one as L^(-1/2)
+        errs = []
+        for n, length in ((2048, 256.0), (8192, 1024.0)):
+            g = Grid(n, length)
+            hq = hilbert(Field(g, profile(g.nodes)))
+            errs.append(l2_norm(hq - Field(g, periodic_profile_hilbert(g.nodes, length))))
+        assert errs[0] < 1e-3 and errs[1] < 1e-4
+        assert errs[0] / errs[1] == pytest.approx(8.0, rel=0.05)
+
+    def test_periodised_hilbert_tends_to_real_line(self):
+        y = np.linspace(-20.0, 20.0, 81)
+        got = periodic_profile_hilbert(y, 1e6)
+        np.testing.assert_allclose(got, -y * profile(y), rtol=0.0, atol=1e-9)
 
 
 class TestEigenfunctions:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from bolab import (ExperimentConfig, PotentialSpec, gronwall_sweep,
-                   integrate_exact, integrate_reference)
+from bolab import (ExperimentConfig, PotentialSpec, gronwall_compare,
+                   gronwall_sweep, integrate_exact, integrate_reference,
+                   trajectories)
 from bolab.experiments import _horizon
 
 
@@ -72,13 +73,14 @@ class TestShapeDerivatives:
         edge = [1.0, -1.0, self.EDGE, 1.0 + 1e-9, 1.2, -3.0]
         return [0.0] + [w * t for t in inner_t] + [w * t for t in near + edge]
 
-    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("kind", [float, np.float64, int, np.array])
     def test_scalar_matches_array(self, kind):
+        # ints and 0-d arrays (np.array(s)) are rank 0 without being floats
         pot = PotentialSpec.bump(0.1, amplitude=0.7, width=self.WIDTH)
-        pts = self._points()
-        arrays = pot.shape_derivatives(np.array(pts))
+        pts = [kind(s) for s in self._points()]
+        arrays = pot.shape_derivatives(np.array(pts, dtype=float))
         for j, s in enumerate(pts):
-            got = pot.shape_derivatives(kind(s))
+            got = pot.shape_derivatives(s)
             assert type(got) is tuple and len(got) == 4
             assert all(type(v) is float for v in got)
             want = [float(v[j]) for v in arrays]
@@ -111,6 +113,18 @@ class TestShapeDerivatives:
         assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, amplitude=0.3)
         assert PotentialSpec.bump(0.1) != PotentialSpec.zero(0.1)
         assert PotentialSpec.bump(0.1) != "bump"
+
+    def test_shape_key_is_key_without_h(self):
+        assert PotentialSpec.bump(0.1, 0.3, 1.5).key() == ("bump", 0.1, 0.3, 1.5)
+        assert PotentialSpec.bump(0.1, 0.3, 1.5).shape_key() == ("bump", 0.3, 1.5)
+        assert PotentialSpec.bump(0.1).shape_key() == PotentialSpec.bump(0.05).shape_key()
+        assert (PotentialSpec.bump(0.1).shape_key()
+                != PotentialSpec.bump(0.1, amplitude=0.3).shape_key())
+        x = np.linspace(-2.0, 2.0, 9)
+        a, b = PotentialSpec.custom(0.1, x, x ** 3), PotentialSpec.custom(0.2, x, x ** 3)
+        assert a.shape_key() == b.shape_key() and a.key() != b.key()
+        assert a.key() == ("custom", 0.1, *a.shape_key()[1:])
+        assert a.shape_key() != PotentialSpec.custom(0.1, x, x ** 2).shape_key()
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +162,40 @@ class TestIntegrators:
         rep = gronwall_sweep(lambda h: PotentialSpec.bump(h), (0.2, 0.1, 0.05), 2.0)
         assert rep.fitted_order == pytest.approx(2.0, abs=0.2)
         assert rep.sup_dev_scale == max(p[2] for p in rep.per_h)
+
+    def test_sweep_matches_both_flows_per_h(self):
+        hs = (0.2, 0.1, 0.05)
+        want = []
+        for h in hs:
+            pot = PotentialSpec.bump(h)
+            rep = gronwall_compare(integrate_reference(pot, 2.0),
+                                   integrate_exact(pot, 2.0))
+            want.append((h, rep.sup_dev_position, rep.sup_dev_scale))
+        assert gronwall_sweep(lambda h: PotentialSpec.bump(h), hs, 2.0).per_h == want
+
+    @pytest.mark.parametrize("factory, expected", [
+        (lambda h: PotentialSpec.bump(h), [0.2]),
+        (lambda h: PotentialSpec.bump(h, amplitude=h), [0.2, 0.1, 0.05]),
+    ])
+    def test_sweep_integrates_reference_once_per_shape(self, monkeypatch,
+                                                       factory, expected):
+        calls = []
+        real = trajectories.integrate_reference
+        def counting(pot, s_end, ds=1e-3):
+            calls.append(pot.h)
+            return real(pot, s_end, ds)
+        monkeypatch.setattr(trajectories, "integrate_reference", counting)
+        gronwall_sweep(factory, (0.2, 0.1, 0.05), 0.5)
+        assert calls == expected
+
+    def test_csv_cells_are_float_reprs(self, tmp_path):
+        tr = integrate_exact(PotentialSpec.bump(0.1), 0.05)
+        trajectories.write_trajectory_csv(tmp_path / "t.csv", tr)
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[0] == "s,A,C,kind,frame"
+        assert lines[1:] == [
+            f"{float(t)!r},{float(a)!r},{float(c)!r},exact,slow_s"
+            for t, a, c in zip(tr.times, tr.positions, tr.scales)]
 
 
 # ---------------------------------------------------------------------------
