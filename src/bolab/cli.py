@@ -29,11 +29,12 @@ from .evolution import EvolutionState, evolve_pbo, invariants, write_checkpoint
 from .experiments import ExperimentConfig, load_config, run_theorem_sweep
 from .grid import Field, Grid, hilbert, inner, l2_norm, sobolev_norm
 from .modulation import write_track_csv, track_parameters
-from .operators import OperatorSpec, commutator_probe
+from .operators import OperatorSpec
 from .potential import PotentialSpec
 from .soliton import (SolitonParams, closed_form_table,
                       periodic_profile_hilbert, profile, profile_derivative,
-                      scaled_profile, soliton_field, soliton_residual)
+                      profile_second_derivative, scaled_profile, soliton_field,
+                      soliton_residual)
 from .spectral import discretize, spectrum_below_continuum
 from .trajectories import (convert_frame, gronwall_sweep, integrate_exact,
                            integrate_reference, write_trajectory_csv)
@@ -179,7 +180,6 @@ def cmd_virial(args, cfg) -> int:
         v0 = v0 - (inner(v0, g) / inner(g, g)) * g
     v0 = (0.5 / l2_norm(v0)) * v0
     forcing = Field(grid, np.exp(-((y + 5.0) / 6.0) ** 2))
-    from .soliton import profile_second_derivative
     fqpp = Field(grid, profile_second_derivative(y))
     for g in (fqp, fqpp):
         forcing = forcing - (inner(forcing, g) / inner(g, g)) * g
@@ -248,12 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.threads:
-        cfg = replace(cfg, threads=args.threads)
     try:
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
+        if args.out:
+            cfg = replace(cfg, out_dir=args.out)
+        if args.threads:
+            cfg = replace(cfg, threads=args.threads)
         return args.fn(args, cfg)
     except BolabError as exc:
         print(f"error: {exc}", file=sys.stderr)

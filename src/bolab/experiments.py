@@ -50,9 +50,7 @@ class ExperimentConfig:
     bump_width: float = 1.0
     perturbation: str = "gaussian"
     delta_scale: float = 1.0          # delta = delta_scale * h^{3/2}
-    regime: str = "symplectic"
     out_dir: str = "runs"
-    seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
@@ -67,13 +65,15 @@ class ExperimentConfig:
         if self.perturbation not in PERTURBATION_KINDS:
             raise ConfigurationError(
                 f"perturbation must be one of {PERTURBATION_KINDS}")
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be at least 1, got {self.threads}")
 
 
 _CONFIG_TYPES = {
     "n_points": int, "domain_length": float, "dt": float,
     "snapshot_stride": int, "mu0": float, "bump_amplitude": float,
     "bump_width": float, "perturbation": str, "delta_scale": float,
-    "regime": str, "out_dir": str, "seed": int, "threads": int,
+    "out_dir": str, "threads": int,
 }
 
 
@@ -256,7 +256,7 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
     u0 = q0 + build_perturbation(grid, cfg.perturbation, delta)
     res = evolve_pbo(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
                      snapshot_stride=cfg.snapshot_stride)
-    track = track_parameters(res.states, cfg.regime, SolitonParams(0.0, 1.0))
+    track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
     if track.c.min() < 0.5 or track.c.max() > 2.0:
         raise ExperimentError(
             f"scale parameter left the window [1/2, 2]: "
@@ -309,23 +309,12 @@ def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
     members = []
     failures = []
-
-    def job(h):
-        return _run_member(cfg, h, out_dir)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {h: pool.submit(job, h) for h in cfg.h_list}
-            for h in cfg.h_list:
-                try:
-                    members.append(futures[h].result())
-                except Exception as exc:       # member failures are data
-                    failures.append({"h": h, "error": f"{type(exc).__name__}: {exc}"})
-    else:
-        for h in cfg.h_list:
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        futures = [(h, pool.submit(_run_member, cfg, h, out_dir)) for h in cfg.h_list]
+        for h, future in futures:
             try:
-                members.append(job(h))
-            except Exception as exc:
+                members.append(future.result())
+            except Exception as exc:       # member failures are data
                 failures.append({"h": h, "error": f"{type(exc).__name__}: {exc}"})
     if not members:
         raise ExperimentError(f"all sweep members failed: {failures}")

@@ -90,15 +90,8 @@ class Field:
         self.values.setflags(write=False)
 
     @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        return cls(grid, fn(grid.nodes))
-
-    @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros(grid.n_points))
-
-    def copy_with(self, values) -> "Field":
-        return Field(self.grid, values)
 
     # Small pointwise algebra layer; keeps tests and diagnostics readable.
     def __add__(self, other):

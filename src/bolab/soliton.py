@@ -59,12 +59,6 @@ def scaled_profile(y):
     return 4.0 * (1.0 - y * y) / (1.0 + y * y) ** 2
 
 
-def scaled_profile_derivative(y):
-    """(y q)''(y) = 8y(y^2-3)/(1+y^2)^3."""
-    y = np.asarray(y, dtype=float)
-    return 8.0 * y * (y * y - 3.0) / (1.0 + y * y) ** 3
-
-
 def periodic_profile_hilbert(y, length: float):
     """H(q_per)(y) = -(4 pi/L) sin(2 pi y/L)/(cosh(2 pi/L) - cos(2 pi y/L)).
 

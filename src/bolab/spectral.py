@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 
 from .errors import ConfigurationError, UsageError
-from .grid import Field, Grid
+from .grid import Field, Grid, inner, l2_norm
 from .operators import OperatorSpec
 from .soliton import profile, scaled_profile
 
@@ -202,10 +202,9 @@ def angle_lemma_bound(mu1: float, mu_perp: float, e1: Field, f: Field) -> float:
     e1 is the extremal eigenfunction, f the constraint direction;
     cos(beta) is their L2 alignment.  Inputs are normalized internally.
     """
-    from .grid import inner as _inner, l2_norm as _l2
-    n1, n2 = _l2(e1), _l2(f)
+    n1, n2 = l2_norm(e1), l2_norm(f)
     if n1 <= 0 or n2 <= 0:
         raise UsageError("angle bound needs nonzero e1 and f")
-    cosb = _inner(e1, f) / (n1 * n2)
+    cosb = inner(e1, f) / (n1 * n2)
     sin2 = 1.0 - cosb * cosb
     return float(mu_perp - (mu_perp - mu1) * sin2)

@@ -43,3 +43,12 @@ def test_spectrum_defaults_pass(tmp_path, capsys):
     assert report["schema_version"] == 1
     assert len(report["discrete_eigenvalues"]) == 3
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_invalid_config_exits_2(tmp_path, capsys):
+    # a rejected setting is reported as an error, not as a traceback
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("dt = -1\n", encoding="utf-8")
+    assert main(["--config", str(bad), "theorem-sweep"]) == 2
+    assert main(["--out", str(tmp_path), "--threads", "-1", "theorem-sweep"]) == 2
+    assert "error: threads must be at least 1" in capsys.readouterr().err

@@ -1,0 +1,65 @@
+"""Config parsing and the theorem-sweep member loop."""
+
+import time
+from dataclasses import fields
+
+import pytest
+
+from bolab import ConfigurationError, ExperimentConfig, run_theorem_sweep
+from bolab import experiments
+from bolab.experiments import SweepMember, parse_config
+
+
+class TestParseConfig:
+    def test_every_key_round_trips(self):
+        cfg = ExperimentConfig(
+            n_points=4096, domain_length=512.0, dt=0.02, snapshot_stride=5,
+            mu0=0.5, h_list=(0.2, 0.1), bump_amplitude=0.3, bump_width=2.0,
+            perturbation="curvature", delta_scale=0.5, out_dir="elsewhere",
+            threads=3)
+        lines = []
+        for f in fields(ExperimentConfig):
+            value = getattr(cfg, f.name)
+            if f.name == "h_list":
+                value = ", ".join(map(str, value))
+            lines.append(f"{f.name} = {value}")
+        parsed = parse_config("\n".join(lines))
+        assert parsed == cfg
+        for f in fields(ExperimentConfig):
+            assert getattr(parsed, f.name) != getattr(ExperimentConfig(), f.name)
+
+    @pytest.mark.parametrize("line", ["seed = 1", "regime = symplectic"])
+    def test_removed_keys_rejected(self, line):
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            parse_config(line)
+
+    def test_threads_at_least_one(self):
+        with pytest.raises(ConfigurationError):
+            parse_config("threads = 0")
+
+
+class TestSweepLoop:
+    H_LIST = (0.1, 0.08, 0.05, 0.025)
+
+    @staticmethod
+    def _fake_member(cfg, h, out_dir):
+        if h == 0.05:
+            raise ValueError("stub failure")
+        if h == TestSweepLoop.H_LIST[0]:
+            time.sleep(0.05)            # finishes after the members queued behind it
+        return SweepMember(h=h, t_end=1.0, sup_envelope_ratio=h ** 1.5,
+                           sup_local_time_norm=h, residual_a_integral=h ** 2,
+                           residual_c_integral=h ** 3, scale_range=(1.0, 1.0),
+                           wall_seconds=0.0, csv_track="", csv_trajectory="")
+
+    def test_threads_give_same_members_and_failures(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "_run_member", self._fake_member)
+        summaries = [
+            run_theorem_sweep(ExperimentConfig(h_list=self.H_LIST, threads=k,
+                                               out_dir=str(tmp_path / f"t{k}")))
+            for k in (1, 2)]
+        for s in summaries:
+            assert [m.h for m in s.members] == [0.1, 0.08, 0.025]
+            assert s.failures == [{"h": 0.05, "error": "ValueError: stub failure"}]
+        assert summaries[0].members == summaries[1].members
+        assert summaries[0].fitted_remainder_order == pytest.approx(1.5, rel=1e-12)
