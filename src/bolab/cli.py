@@ -98,10 +98,11 @@ def cmd_spectrum(args, cfg) -> int:
     tbl = closed_form_table()
     expected = [tbl.lambda_minus, 0.0, tbl.lambda_plus]
     got = report.discrete_eigenvalues
-    ok = (len(got) == 3
-          and all(abs(g - e) <= 5e-3 for g, e in zip(got, expected)))
-    print(f"{'PASS' if ok else 'FAIL'}  isolated eigenvalues {got}")
-    return 0 if ok else 1
+    results: list = []
+    _check("|isolated eigenvalue count - 3|", abs(len(got) - 3), 0, results)
+    for g, e in zip(got, expected):
+        _check(f"isolated eigenvalue {g:.6f} vs {e:.6f}", abs(g - e), 5e-3, results)
+    return 0 if all(results) else 1
 
 
 def cmd_evolve(args, cfg) -> int:
@@ -149,9 +150,11 @@ def cmd_trajectories(args, cfg) -> int:
     print(f"sup|A_dev| = {sweep.sup_dev_position:.3e}, "
           f"sup|C_dev| = {sweep.sup_dev_scale:.3e}, "
           f"fitted order = {sweep.fitted_order}")
-    ok = sweep.fitted_order is not None and abs(sweep.fitted_order - 2.0) <= 0.2
-    print(f"{'PASS' if ok else 'FAIL'}  deviation order 2.0 +- 0.2")
-    return 0 if ok else 1
+    order = sweep.fitted_order
+    results: list = []
+    _check("deviation order |p - 2|",
+           abs(order - 2.0) if order is not None else math.inf, 0.2, results)
+    return 0 if all(results) else 1
 
 
 def cmd_theorem_sweep(args, cfg) -> int:
@@ -161,13 +164,16 @@ def cmd_theorem_sweep(args, cfg) -> int:
         "fitted_residual_c_order": summary.fitted_residual_c_order,
         "failures": summary.failures,
     }, indent=2))
-    ok = (not summary.failures
-          and summary.fitted_remainder_order is not None
-          and abs(summary.fitted_remainder_order - 1.5) <= 0.3
-          and summary.fitted_residual_c_order is not None
-          and summary.fitted_residual_c_order >= 2.7)
-    print(f"{'PASS' if ok else 'FAIL'}  theorem-sweep scaling checks")
-    return 0 if ok else 1
+    rem = summary.fitted_remainder_order
+    res_c = summary.fitted_residual_c_order
+    results: list = []
+    _check("member failures", len(summary.failures), 0, results)
+    _check("remainder order |p - 1.5|",
+           abs(rem - 1.5) if rem is not None else math.inf, 0.3, results)
+    # p >= 2.7 as a shortfall 2.7 - p <= 0
+    _check("residual-c order shortfall 2.7 - p",
+           2.7 - res_c if res_c is not None else math.inf, 0.0, results)
+    return 0 if all(results) else 1
 
 
 def cmd_virial(args, cfg) -> int:
@@ -195,9 +201,9 @@ def cmd_virial(args, cfg) -> int:
     print(f"wrote {path}")
     ratios = [r.ratio for r in reports]
     band = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    ok = band <= 3.0
-    print(f"{'PASS' if ok else 'FAIL'}  ratio band {band:.2f} (limit 3.0)")
-    return 0 if ok else 1
+    results: list = []
+    _check("ratio band max/min", band, 3.0, results)
+    return 0 if all(results) else 1
 
 
 def _float_list(text):

@@ -27,8 +27,9 @@ The coefficient tables are read-only and shared: ``functools.lru_cache``
 holds them per (grid, dt) and, for pBO, per potential (``PotentialSpec``
 compares by its key).  The right-hand side and its work buffer belong to
 one ``evolve_*`` or ``step_*`` call, so concurrent runs share no
-writable state.  ``step_pbo`` and ``step_linearized`` are one step of
-the same stepper, entered and left through the physical field.
+writable state.  ``step_pbo`` and ``step_linearized`` are ``_evolve``
+run for one step.  The linearized flow reads its symbol, weight and
+projector from `operators`, the one definition of the operator family.
 """
 
 from __future__ import annotations
@@ -43,10 +44,7 @@ from .errors import ConfigurationError, EvolutionError, UsageError
 from .grid import (Field, Grid, _spectrum_sobolev_norm, derivative, hilbert, inner,
                    integral, l2_norm, sobolev_norm)
 from .potential import PotentialSpec
-from .soliton import profile, profile_derivative
-from .operators import projector_weight_field
-
-_PI4 = 4.0 * np.pi
+from .operators import LINEARIZED, projector_parts, symmetric_parts
 
 
 @dataclass
@@ -164,35 +162,40 @@ def _pbo_flow(grid: Grid, dt: float, pot: PotentialSpec | None):
 
 @functools.lru_cache(maxsize=16)
 def _linearized_tables(grid: Grid, dt: float):
-    """(tables, i*xi, q, rfft(q'), linearized-op q'') of the linearized flow."""
+    """(tables, i*xi, w, rfft(q'), L q'', ||q'||^2) of the linearized flow.
+
+    The linearized operator's triple (c0, k, w) gives the exactly
+    integrated symbol i*xi*(c0 + k|xi|) and the weight of -d_y(w v); the
+    projector's parts come from `operators.projector_parts`.
+    """
+    c0, k, w = symmetric_parts(LINEARIZED, grid)
     xi = grid.rfft_wavenumbers
-    symbol = 1j * xi * (1.0 + np.abs(xi))
+    symbol = 1j * xi * (c0 + k * np.abs(xi))
     symbol[-1] = 0.0
     dxi = _odd_derivative_symbol(grid)
-    q = profile(grid.nodes)
-    qp_hat = np.fft.rfft(profile_derivative(grid.nodes))
-    lqpp = projector_weight_field(grid).values
-    _read_only(dxi, q, qp_hat)
-    return _Etdrk4Tables(symbol, dt), dxi, q, qp_hat, lqpp
+    lqpp, qp, norm_sq = projector_parts(grid)
+    qp_hat = np.fft.rfft(qp)
+    _read_only(dxi, w, qp_hat)
+    return _Etdrk4Tables(symbol, dt), dxi, w, qp_hat, lqpp, norm_sq
 
 
 def _linearized_flow(grid: Grid, dt: float, forcing: Field | None):
     """The linearized tables and a right-hand side for one static forcing.
 
     The forcing term i*xi*f^ is transformed once; per stage there is one
-    irfft and one rfft of q v.
+    irfft and one rfft of w v.
     """
     if forcing is not None and forcing.grid != grid:
         raise UsageError("forcing lives on a different grid")
-    tables, dxi, q, qp_hat, lqpp = _linearized_tables(grid, dt)
+    tables, dxi, w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
     n = grid.n_points
     dx = grid.spacing
     force = dxi * np.fft.rfft(forcing.values) if forcing is not None else 0.0
 
     def nonlinear(vh):
         v = np.fft.irfft(vh, n=n)
-        coef = dx * float(v @ lqpp) / _PI4
-        return dxi * np.fft.rfft(-q * v) + force + coef * qp_hat
+        coef = dx * float(v @ lqpp) / norm_sq
+        return dxi * np.fft.rfft(-w * v) + force + coef * qp_hat
     return tables, nonlinear
 
 
@@ -206,19 +209,11 @@ def _check_finite(uh, t: float) -> None:
         raise EvolutionError(f"non-finite state after step at t = {t}")
 
 
-def _one_step(state: EvolutionState, dt: float, flow) -> EvolutionState:
-    tables, nonlinear = flow
-    grid = state.field.grid
-    uh = tables.step_spectrum(np.fft.rfft(state.field.values), nonlinear)
-    _check_finite(uh, state.time)
-    return EvolutionState(state.time + dt, Field(grid, np.fft.irfft(uh, n=grid.n_points)),
-                          state.potential)
-
-
 def step_pbo(state: EvolutionState, dt: float) -> EvolutionState:
     """Advance u_t = d_x(-H u_x + V u - u^2/2) by one ETDRK4 step."""
     _check_dt(dt)
-    return _one_step(state, dt, _pbo_flow(state.field.grid, dt, state.potential))
+    flow = _pbo_flow(state.field.grid, dt, state.potential)
+    return _evolve(state, 1, dt, 1, flow).states[-1]
 
 
 def step_linearized(state: EvolutionState, dt: float,
@@ -230,7 +225,8 @@ def step_linearized(state: EvolutionState, dt: float,
     remainder.  The forcing is held fixed across the step's stages.
     """
     _check_dt(dt)
-    return _one_step(state, dt, _linearized_flow(state.field.grid, dt, forcing))
+    flow = _linearized_flow(state.field.grid, dt, forcing)
+    return _evolve(state, 1, dt, 1, flow).states[-1]
 
 
 def _kink_term(f_int: float, g_int: float, grid: Grid) -> float:

@@ -64,19 +64,17 @@ class Grid:
         return (self.n_points, self.domain_length)
 
 
-def make_grid(n_points: int, domain_length: float) -> Grid:
-    """Build a periodic grid with nodes x_j = -L/2 + j*L/N."""
-    return Grid(n_points, domain_length)
-
-
 class Field:
     """Real-valued function sampled on a Grid.
 
     Values are validated to be finite at construction and stored
-    read-only; operators return new Field instances.
+    read-only; operators return new Field instances.  Numpy ufuncs do not
+    take a Field (``__array_ufunc__ = None``), so ``ndarray * Field``
+    reaches ``Field.__rmul__`` instead of an object array of Fields.
     """
 
     __slots__ = ("grid", "values")
+    __array_ufunc__ = None
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=float)

@@ -1,15 +1,26 @@
 """Linearized operators around the soliton and the commutator-norm probe.
 
-The operator family, by kind:
+The operator family has four kinds:
 
-* "linearized":        I + D - q          (D = |xi| multiplier)
-* "linearized_scaled": c + D - c*q(c x)
-* "virial":            2D + I - (y q)'    (the quadratic form arising in
+* "linearized":  L_c = c + D - c q(c y)   (D = |xi| multiplier; c > 0,
+                 default 1, where it is L = I + D - q)
+* "virial":      2D + I - (y q)'          (the quadratic form arising in
                                            the localized virial identity)
-* "projector":         rank-one projection onto q' weighted by the
-                       curvature functional <f, (linearized) q''>/||q'||^2
-* "dual":              (1 + gamma d/dy)^{-1} (linearized)  -- the change
-                       of variable used to pass to the dual flow.
+* "projector":   P f = <f, L q''>/||q'||^2 q', the rank-one projection
+                 onto q' weighted by the curvature functional
+* "dual":        (1 + gamma d/dy)^{-1} L  -- the change of variable used
+                 to pass to the dual flow.
+
+The two symmetric kinds are one triple (identity coefficient, |D|
+coefficient, weight samples), ``symmetric_parts``:
+
+* linearized(c) = (c, 1, c q(c y)),
+* virial        = (1, 2, (y q)'),
+
+read as c0 f + k |D| f - w f.  `apply_operator`, `quadratic_form`, the
+dense matrix of `spectral.discretize` and the linearized flow of
+`evolution` are all built from it, and the projector's parts (L q'', q',
+||q'||^2) come from ``projector_parts`` alone.
 
 The commutator probe measures the operator that the regularized inverse
 fails to commute with the soliton-weighted linearized operator by.  Its
@@ -29,15 +40,19 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 from .errors import ConfigurationError, DiagnosticError, UsageError
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
                    dgamma_inverse_adjoint, fractional_derivative, inner)
-from .soliton import (profile, profile_derivative, profile_second_derivative,
-                      scaled_profile)
+from .soliton import (closed_form_table, profile, profile_derivative,
+                      profile_second_derivative, scaled_profile)
 
-VALID_KINDS = ("linearized", "linearized_scaled", "virial", "projector", "dual")
+VALID_KINDS = ("linearized", "virial", "projector", "dual")
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Which operator to apply, plus its parameters where required."""
+    """Which operator to apply, plus its parameters where required.
+
+    `c` is the scale of "linearized" (None means c = 1) and `gamma` the
+    regularization of "dual"; any other kind takes neither.
+    """
 
     kind: str
     c: float | None = None
@@ -46,9 +61,9 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ConfigurationError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "linearized_scaled":
-            if self.c is None or not (self.c > 0):
-                raise ConfigurationError("linearized_scaled requires c > 0")
+        if self.kind == "linearized":
+            if self.c is not None and not (self.c > 0):
+                raise ConfigurationError("linearized requires c > 0")
         elif self.c is not None:
             raise ConfigurationError(f"kind {self.kind!r} takes no c parameter")
         if self.kind == "dual":
@@ -58,42 +73,42 @@ class OperatorSpec:
             raise ConfigurationError(f"kind {self.kind!r} takes no gamma parameter")
 
 
-def _linearized(f: Field) -> Field:
-    q = profile(f.grid.nodes)
-    return f + fractional_derivative(f, 1.0) - Field(f.grid, q * f.values)
+LINEARIZED = OperatorSpec("linearized")
 
 
-def projector_weight_field(grid: Grid) -> Field:
-    """(linearized operator applied to q''), the weight in the rank-one projector."""
+def symmetric_parts(spec: OperatorSpec, grid: Grid):
+    """(c0, k, w): the symmetric kind is c0 f + k |D| f - w f on the grid."""
+    y = grid.nodes
+    if spec.kind == "linearized":
+        c = 1.0 if spec.c is None else spec.c
+        return c, 1.0, c * profile(c * y)
+    if spec.kind == "virial":
+        return 1.0, 2.0, scaled_profile(y)     # (yq)' = yq' + q
+    raise UsageError(f"kind {spec.kind!r} is not symmetric")
+
+
+def projector_parts(grid: Grid):
+    """(L q'', q', ||q'||^2) of the rank-one projector P f = <f, L q''>/||q'||^2 q'."""
     qpp = Field(grid, profile_second_derivative(grid.nodes))
-    return _linearized(qpp)
+    return (apply_operator(LINEARIZED, qpp).values, profile_derivative(grid.nodes),
+            closed_form_table().normQprime_c_sq(1.0))
 
 
 def apply_operator(spec: OperatorSpec, f: Field) -> Field:
     """Apply the operator named by spec to f."""
     g = f.grid
-    y = g.nodes
-    if spec.kind == "linearized":
-        return _linearized(f)
-    if spec.kind == "linearized_scaled":
-        c = spec.c
-        qc = c * profile(c * y)
-        return c * f + fractional_derivative(f, 1.0) - Field(g, qc * f.values)
-    if spec.kind == "virial":
-        w = scaled_profile(y)          # (yq)' = yq' + q
-        return 2.0 * fractional_derivative(f, 1.0) + f - Field(g, w * f.values)
     if spec.kind == "projector":
-        qp = Field(g, profile_derivative(y))
-        coef = inner(f, projector_weight_field(g)) / (4.0 * math.pi)
-        return coef * qp
+        lqpp, qp, norm_sq = projector_parts(g)
+        return Field(g, (inner(f, Field(g, lqpp)) / norm_sq) * qp)
     if spec.kind == "dual":
-        return dgamma_inverse(_linearized(f), spec.gamma)
-    raise ConfigurationError(f"unknown operator kind {spec.kind!r}")
+        return dgamma_inverse(apply_operator(LINEARIZED, f), spec.gamma)
+    c0, k, w = symmetric_parts(spec, g)
+    return c0 * f + k * fractional_derivative(f, 1.0) - Field(g, w * f.values)
 
 
 def quadratic_form(spec: OperatorSpec, f: Field) -> float:
     """<op f, f> by quadrature; only the symmetric kinds qualify."""
-    if spec.kind not in ("linearized", "linearized_scaled", "virial"):
+    if spec.kind not in ("linearized", "virial"):
         raise UsageError(f"quadratic form undefined for kind {spec.kind!r}")
     return inner(apply_operator(spec, f), f)
 
@@ -148,7 +163,6 @@ def _commutator_maps(grid: Grid, gamma: float):
     norm with an O(1/gamma) spurious mode).  Both maps flatten their
     input, so they take the (n, 1) columns a LinearOperator passes.
     """
-    lin = OperatorSpec("linearized")
     w = np.sqrt(1.0 + (gamma * grid.nodes) ** 2)
     xi = grid.rfft_wavenumbers
     band = np.where(xi <= BAND_FRACTION * xi[-1], 1.0, 0.0)
@@ -158,16 +172,16 @@ def _commutator_maps(grid: Grid, gamma: float):
 
     def forward(v):
         f = project(v)
-        weighted = dgamma_inverse(apply_operator(lin, f * w), gamma)
+        weighted = dgamma_inverse(apply_operator(LINEARIZED, f * w), gamma)
         out = (Field(grid, weighted.values / w)
-               - apply_operator(lin, dgamma_inverse(f, gamma)))
+               - apply_operator(LINEARIZED, dgamma_inverse(f, gamma)))
         return project(out.values).values
 
     def adjoint(v):
         f = project(v)
         smoothed = dgamma_inverse_adjoint(Field(grid, f.values / w), gamma)
-        out = (apply_operator(lin, smoothed) * w
-               - dgamma_inverse_adjoint(apply_operator(lin, f), gamma))
+        out = (apply_operator(LINEARIZED, smoothed) * w
+               - dgamma_inverse_adjoint(apply_operator(LINEARIZED, f), gamma))
         return project(out.values).values
 
     return forward, adjoint

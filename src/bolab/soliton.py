@@ -4,8 +4,10 @@ The traveling-wave profile is the algebraically decaying bump
 ``q(y) = 4/(1 + y^2)`` and the two-parameter family is
 ``q_{a,c}(x) = c*q(c*(x-a))``.  Every field here is sampled from closed
 formulas; nothing is obtained by solving the profile equation
-numerically.  The integral table keeps its entries symbolic (multiples
-of pi and sqrt(5)) so golden tests stay self-documenting.
+numerically.  The (a, c) derivatives of q_{a,c} are sampled where they
+are used, in the Newton fit of ``modulation._constraint_fields``.  The
+integral table keeps its entries symbolic (multiples of pi and sqrt(5))
+so golden tests stay self-documenting.
 """
 
 from __future__ import annotations
@@ -77,17 +79,6 @@ def periodic_profile_hilbert(y, length: float):
 def soliton_field(grid: Grid, p: SolitonParams) -> Field:
     """Sample c*q(c*(x-a)) exactly at the grid nodes."""
     return Field(grid, p.c * profile(p.c * (grid.nodes - p.a)))
-
-
-def soliton_derivative_field(grid: Grid, p: SolitonParams) -> Field:
-    """d/dx of the soliton, sampled from the closed formula."""
-    return Field(grid, p.c ** 2 * profile_derivative(p.c * (grid.nodes - p.a)))
-
-
-def soliton_scale_field(grid: Grid, p: SolitonParams) -> Field:
-    """d/dc of the soliton = q(c(x-a)) + c(x-a) q'(c(x-a))."""
-    z = p.c * (grid.nodes - p.a)
-    return Field(grid, scaled_profile(z))
 
 
 def soliton_residual(p: SolitonParams, grid: Grid) -> float:

@@ -18,8 +18,7 @@ from scipy.linalg import eigh, null_space
 
 from .errors import ConfigurationError, UsageError
 from .grid import Field, Grid, inner, l2_norm
-from .operators import OperatorSpec
-from .soliton import profile, scaled_profile
+from .operators import OperatorSpec, symmetric_parts
 
 DENSE_BUDGET = 4096
 
@@ -64,24 +63,22 @@ def _multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
 
 
 def discretize(spec: OperatorSpec, grid: Grid) -> DenseOperator:
-    """Assemble the dense matrix of a symmetric operator kind."""
+    """Assemble the dense matrix c0 I + k M - diag(w) of a symmetric kind.
+
+    (c0, k, w) is the kind's triple from `operators.symmetric_parts`
+    (linearized(c) = (c, 1, c q(c y)), virial = (1, 2, (y q)')) and M the
+    matrix of the |xi| multiplier; the projector and dual kinds are not
+    symmetric and raise UsageError.
+    """
     if grid.n_points > DENSE_BUDGET:
         raise ConfigurationError(
             f"dense discretization capped at n = {DENSE_BUDGET}, got {grid.n_points}")
-    xi = grid.rfft_wavenumbers
-    y = grid.nodes
-    if spec.kind == "linearized":
-        m = np.eye(grid.n_points) + _multiplier_matrix(grid, xi) - np.diag(profile(y))
-    elif spec.kind == "linearized_scaled":
-        c = spec.c
-        m = (c * np.eye(grid.n_points) + _multiplier_matrix(grid, xi)
-             - np.diag(c * profile(c * y)))
-    elif spec.kind == "virial":
-        m = (2.0 * _multiplier_matrix(grid, xi) + np.eye(grid.n_points)
-             - np.diag(scaled_profile(y)))
-    else:
-        raise ConfigurationError(
-            f"dense discretization supports symmetric kinds only, got {spec.kind!r}")
+    c0, k, w = symmetric_parts(spec, grid)
+    # in place in M: no further n x n temporaries (32 MB each at n = 2048)
+    m = _multiplier_matrix(grid, grid.rfft_wavenumbers)
+    m *= k
+    diag = np.diag_indices(grid.n_points)
+    m[diag] = c0 + m[diag] - w
     return DenseOperator(m, grid, spec)
 
 

@@ -39,7 +39,7 @@ from .errors import ConfigurationError, UsageError
 from .potential import PotentialSpec
 
 FRAMES = ("slow_s", "fast_t")
-KINDS = ("reference", "exact", "measured")
+KINDS = ("reference", "exact")
 SCALE_STOP_LOW = 0.5
 SCALE_STOP_HIGH = 2.0
 
@@ -155,28 +155,18 @@ def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> Traje
     return TrajectoryState("slow_s", "exact", times, pos, sc, stop_time=None, h=pot.h)
 
 
-def convert_frame(tr: TrajectoryState, h: float, to: str = "fast_t") -> TrajectoryState:
-    """Convert between slow time s and fast time t = s/h.
+def convert_frame(tr: TrajectoryState, h: float) -> TrajectoryState:
+    """Convert slow time s to fast time t = s/h: a = A/h, c = C.
 
-    Slow -> fast: t = s/h, a = A/h, c = C.  Converting a state to the
-    frame it is already in is a usage error.
+    A trajectory already in the fast frame is a usage error.
     """
-    if to not in FRAMES:
-        raise UsageError(f"unknown target frame {to!r}")
-    if tr.frame == to:
-        raise UsageError(f"trajectory is already in frame {to!r}")
+    if tr.frame == "fast_t":
+        raise UsageError("trajectory is already in frame 'fast_t'")
     if not (h > 0):
         raise ConfigurationError(f"h must be positive, got {h}")
-    if to == "fast_t":
-        times = tr.times / h
-        pos = tr.positions / h
-        stop = tr.stop_time / h if tr.stop_time is not None else None
-    else:
-        times = tr.times * h
-        pos = tr.positions * h
-        stop = tr.stop_time * h if tr.stop_time is not None else None
-    return TrajectoryState(to, tr.kind, times, pos, tr.scales.copy(),
-                           stop_time=stop, h=h)
+    stop = tr.stop_time / h if tr.stop_time is not None else None
+    return TrajectoryState("fast_t", tr.kind, tr.times / h, tr.positions / h,
+                           tr.scales.copy(), stop_time=stop, h=h)
 
 
 @dataclass

@@ -5,7 +5,7 @@ import pytest
 
 from bolab import (ConfigurationError, Field, Grid, UsageError, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
-                   l2_norm, local_sup_norm, localizer, make_grid, sobolev_norm,
+                   l2_norm, local_sup_norm, localizer, sobolev_norm,
                    translate, weighted_l2_norm)
 from bolab.grid import LocalizerSpec, cell_l2_profile
 
@@ -14,44 +14,44 @@ from conftest import random_band_limited
 
 class TestMakeGrid:
     def test_basic_spacing_and_nodes(self):
-        g = make_grid(8, 8.0)
+        g = Grid(8, 8.0)
         assert g.spacing == 1.0
         assert np.allclose(g.nodes, np.arange(-4, 4))
 
     def test_large_grid_spacing(self):
-        g = make_grid(8192, 1024.0)
+        g = Grid(8192, 1024.0)
         assert g.spacing == 0.125
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_grid(7, 8.0)
+            Grid(7, 8.0)
 
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_grid(8, -1.0)
+            Grid(8, -1.0)
 
     def test_wavenumber_antisymmetry(self):
-        g = make_grid(64, 16.0)
+        g = Grid(64, 16.0)
         k = g.wavenumbers
         # all modes except DC and Nyquist pair up as +-
         assert np.allclose(np.sort(k[1 : 32]), np.sort(-k[33:]))
         assert k[0] == 0.0
 
     def test_spacing_times_n_is_length(self):
-        g = make_grid(512, 37.5)
+        g = Grid(512, 37.5)
         assert g.spacing * g.n_points == pytest.approx(g.domain_length, rel=1e-15)
 
 
 class TestHilbert:
     def test_single_cosine_mode(self):
-        g = make_grid(256, 32.0)
+        g = Grid(256, 32.0)
         k = 2 * np.pi * 5 / g.domain_length
         f = Field(g, np.cos(k * g.nodes))
         out = hilbert(f)
         assert np.allclose(out.values, -np.sin(k * g.nodes), atol=1e-12)
 
     def test_constant_maps_to_zero(self):
-        g = make_grid(64, 16.0)
+        g = Grid(64, 16.0)
         out = hilbert(Field(g, np.ones(64)))
         assert np.max(np.abs(out.values)) < 1e-14
 
@@ -80,7 +80,7 @@ class TestHilbert:
 
 class TestFractionalDerivative:
     def test_single_sine_mode(self):
-        g = make_grid(256, 32.0)
+        g = Grid(256, 32.0)
         k = 2 * np.pi * 7 / g.domain_length
         f = Field(g, np.sin(k * g.nodes))
         out = fractional_derivative(f, 1.0)
@@ -125,7 +125,7 @@ class TestDgammaInverse:
         assert l2_norm(back - f) <= 1e-10 * l2_norm(f)
 
     def test_cosine_amplitude(self):
-        g = make_grid(256, 32.0)
+        g = Grid(256, 32.0)
         k = 2 * np.pi * 9 / g.domain_length
         gamma = 0.4
         f = Field(g, np.cos(k * g.nodes))
@@ -175,7 +175,7 @@ class TestSobolevNorm:
         assert sobolev_norm(Field.zeros(grid_small), 0.5) == 0.0
 
     def test_single_mode_closed_form(self):
-        g = make_grid(512, 64.0)
+        g = Grid(512, 64.0)
         k = 2 * np.pi * 11 / g.domain_length
         f = Field(g, np.cos(k * g.nodes))
         expected = np.sqrt((1 + k * k) ** 0.5 * g.domain_length / 2)
@@ -209,7 +209,7 @@ class TestLocalSupNorm:
         assert local_sup_norm(f) == pytest.approx(l2_norm(f), rel=1e-12)
 
     def test_coarse_grid_rejected(self):
-        g = make_grid(16, 16.0)   # spacing 1 > 1/4
+        g = Grid(16, 16.0)   # spacing 1 > 1/4
         with pytest.raises(ConfigurationError):
             local_sup_norm(Field.zeros(g))
 
@@ -277,3 +277,13 @@ class TestFieldBasics:
         shifted = translate(f, 1.7)
         assert np.allclose(shifted.values, np.cos(k * (grid_small.nodes + 1.7)),
                            atol=1e-12)
+
+    def test_array_on_the_left_gives_a_field(self):
+        # a weight array on the left must reach Field's reflected operators,
+        # not broadcast the Field into an object array
+        g = Grid(8, 1.0)
+        w = np.arange(8.0)
+        f = Field(g, np.ones(8))
+        for out, expect in ((w * f, w), (w + f, w + 1.0), (w - f, w - 1.0)):
+            assert isinstance(out, Field)
+            assert np.array_equal(out.values, expect)

@@ -23,9 +23,10 @@ def q_fields(grid):
 
 
 class TestOperatorSpec:
-    def test_scaled_requires_c(self):
-        with pytest.raises(ConfigurationError):
-            OperatorSpec("linearized_scaled")
+    def test_linearized_requires_positive_c(self):
+        for c in (0.0, -1.5):
+            with pytest.raises(ConfigurationError):
+                OperatorSpec("linearized", c=c)
 
     def test_dual_requires_gamma(self):
         with pytest.raises(ConfigurationError):
@@ -36,8 +37,16 @@ class TestOperatorSpec:
             OperatorSpec("mystery")
 
     def test_stray_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OperatorSpec("linearized", c=2.0)
+        # only the linearized kind has a scale c
+        for kind, gamma in (("virial", None), ("projector", None), ("dual", 0.1)):
+            with pytest.raises(ConfigurationError):
+                OperatorSpec(kind, c=1.0, gamma=gamma)
+
+    def test_stray_gamma_rejected(self):
+        # only the dual kind has a regularization gamma
+        for kind in ("linearized", "virial", "projector"):
+            with pytest.raises(ConfigurationError):
+                OperatorSpec(kind, gamma=0.1)
 
 
 class TestKernelIdentities:
@@ -65,7 +74,7 @@ class TestKernelIdentities:
         c = 1.5
         y = grid_default.nodes
         qp_c = Field(grid_default, c * c * profile_derivative(c * y))
-        out = apply_operator(OperatorSpec("linearized_scaled", c=c), qp_c)
+        out = apply_operator(OperatorSpec("linearized", c=c), qp_c)
         assert l2_norm(out) <= 5e-5
 
     def test_grid_mismatch_rejected(self, grid_default, grid_small):

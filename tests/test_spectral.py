@@ -37,10 +37,13 @@ def constraint_pair(grid):
 
 
 class TestDiscretize:
-    def test_matches_apply_on_random_fields(self, grid_small):
-        op = discretize(OperatorSpec("linearized"), grid_small)
+    @pytest.mark.parametrize("spec", [OperatorSpec("linearized"),
+                                      OperatorSpec("linearized", c=1.5),
+                                      OperatorSpec("virial")],
+                             ids=["linearized-c1", "linearized-c1.5", "virial"])
+    def test_matches_apply_on_random_fields(self, grid_small, spec):
+        op = discretize(spec, grid_small)
         rng = np.random.default_rng(3)
-        spec = OperatorSpec("linearized")
         for _ in range(4):
             f = random_band_limited(grid_small, rng)
             direct = apply_operator(spec, f)
