@@ -27,7 +27,7 @@ from . import __version__
 from .errors import BolabError
 from .evolution import EvolutionState, evolve_pbo, invariants, write_checkpoint
 from .experiments import ExperimentConfig, load_config, run_theorem_sweep
-from .grid import Field, Grid, hilbert, inner, l2_norm, sobolev_norm
+from .grid import Field, Grid, hilbert, inner, l2_norm
 from .modulation import write_track_csv, track_parameters
 from .operators import OperatorSpec
 from .potential import PotentialSpec

@@ -20,16 +20,30 @@ eight:
 * pBO: one irfft of the stage spectrum, then one rfft of u^2 or, with a
   potential, one batched rfft of the 2 x N array [u^2, V u].  The
   factor -1/2, the 2/3-rule mask and i*xi are one precomputed multiplier.
-* linearized: one irfft, then one rfft of q v; the forcing term i*xi*f^
+* linearized: one irfft, then one rfft of -w v; the forcing term i*xi*f^
   is transformed once per run.
+
+The step runs in buffers, not in fresh arrays.  ``_evolve`` allocates
+the output spectrum and nine stage rows (n0, na, nb, nc, eu, a, b, c
+and one temporary) once per run; ``_Etdrk4Tables.step_spectrum`` writes
+the step into the output, ``_evolve`` swaps it with the state, and the
+finiteness check writes into a preallocated bool buffer.  Each
+right-hand side is ``nonlinear(spectrum, out)`` and writes its result
+with ``out=``.  All transforms of ``_evolve`` and of the right-hand
+sides call ``scipy.fft``.  The arithmetic and its order are those of
+the plain allocating formula, so every state is bit-identical to it.
+One rule keeps it so: numpy's complex multiply is not bitwise
+commutative (it may contract to FMA), so each product keeps the table
+on the left, ``np.multiply(table, x, out=x)``, never ``x *= table``.
 
 The coefficient tables are read-only and shared: ``functools.lru_cache``
 holds them per (grid, dt) and, for pBO, per potential (``PotentialSpec``
-compares by its key).  The right-hand side and its work buffer belong to
-one ``evolve_*`` or ``step_*`` call, so concurrent runs share no
-writable state.  ``step_pbo`` and ``step_linearized`` are ``_evolve``
-run for one step.  The linearized flow reads its symbol, weight and
-projector from `operators`, the one definition of the operator family.
+compares by its key).  The stage rows, the right-hand side and its work
+buffers belong to one ``evolve_*`` or ``step_*`` call, so concurrent
+runs share no writable state.  ``step_pbo`` and ``step_linearized`` are
+``_evolve`` run for one step.  The linearized flow reads its symbol,
+weight and projector from `operators`, the one definition of the
+operator family.
 """
 
 from __future__ import annotations
@@ -39,10 +53,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, EvolutionError, UsageError
 from .grid import (Field, Grid, _spectrum_sobolev_norm, derivative, hilbert, inner,
-                   integral, l2_norm, sobolev_norm)
+                   integral, sobolev_norm)
 from .potential import PotentialSpec
 from .operators import LINEARIZED, projector_parts, symmetric_parts
 
@@ -94,22 +109,42 @@ class _Etdrk4Tables:
         self.e_half = np.exp(0.5 * dt * symbol)
         self.stage = dt * ((np.exp(lr / 2) - 1.0) / lr).mean(1)
         self.w1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3).mean(1)
-        self.w2 = dt * ((2.0 + lr + elr * (-2.0 + lr)) / lr ** 3).mean(1)
+        self.w2x2 = 2.0 * (dt * ((2.0 + lr + elr * (-2.0 + lr)) / lr ** 3).mean(1))
         self.w3 = dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr)) / lr ** 3).mean(1)
-        _read_only(self.e_full, self.e_half, self.stage, self.w1, self.w2, self.w3)
+        _read_only(self.e_full, self.e_half, self.stage, self.w1, self.w2x2, self.w3)
 
-    def step_spectrum(self, uh, nonlinear):
-        """One ETDRK4 step of the spectrum uh; four calls of `nonlinear`."""
-        n0 = nonlinear(uh)
-        eu = self.e_half * uh
-        a = eu + self.stage * n0
-        na = nonlinear(a)
-        b = eu + self.stage * na
-        nb = nonlinear(b)
-        c = self.e_half * a + self.stage * (2.0 * nb - n0)
-        nc = nonlinear(c)
-        return (self.e_full * uh + self.w1 * n0 + 2.0 * self.w2 * (na + nb)
-                + self.w3 * nc)
+    def step_spectrum(self, uh, out, nonlinear, stages) -> None:
+        """One ETDRK4 step of the spectrum uh into out; four calls of `nonlinear`.
+
+        `stages` holds the run's nine work rows (n0, na, nb, nc, eu, a, b,
+        c, temporary); out must not alias uh.  Each product keeps the table
+        on the left, as the allocating formula
+            out = e_full uh + w1 n0 + 2 w2 (na + nb) + w3 nc
+        has it, so every value is bit-identical to that formula.
+        """
+        n0, na, nb, nc, eu, a, b, c, tmp = stages
+        nonlinear(uh, n0)
+        np.multiply(self.e_half, uh, out=eu)
+        np.multiply(self.stage, n0, out=a)
+        np.add(eu, a, out=a)
+        nonlinear(a, na)
+        np.multiply(self.stage, na, out=b)
+        np.add(eu, b, out=b)
+        nonlinear(b, nb)
+        np.multiply(2.0, nb, out=tmp)
+        np.subtract(tmp, n0, out=tmp)
+        np.multiply(self.stage, tmp, out=tmp)
+        np.multiply(self.e_half, a, out=c)
+        np.add(c, tmp, out=c)
+        nonlinear(c, nc)
+        np.multiply(self.e_full, uh, out=out)
+        np.multiply(self.w1, n0, out=tmp)
+        np.add(out, tmp, out=out)
+        np.add(na, nb, out=tmp)
+        np.multiply(self.w2x2, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+        np.multiply(self.w3, nc, out=tmp)
+        np.add(out, tmp, out=out)
 
 
 def _odd_derivative_symbol(grid: Grid) -> np.ndarray:
@@ -145,24 +180,27 @@ def _pbo_flow(grid: Grid, dt: float, pot: PotentialSpec | None):
     tables, quad, dxi, v = _pbo_tables(grid, dt, pot)
     n = grid.n_points
     if v is None:
-        def nonlinear(uh):
-            u = np.fft.irfft(uh, n=n)
-            return quad * np.fft.rfft(u * u)
+        def nonlinear(uh, out):
+            u = scipy.fft.irfft(uh, n=n)
+            np.multiply(u, u, out=u)
+            np.multiply(quad, scipy.fft.rfft(u), out=out)
         return tables, nonlinear
     work = np.empty((2, n))
 
-    def nonlinear(uh):
-        u = np.fft.irfft(uh, n=n)
+    def nonlinear(uh, out):
+        u = scipy.fft.irfft(uh, n=n)
         np.multiply(u, u, out=work[0])
         np.multiply(v, u, out=work[1])
-        spec = np.fft.rfft(work)
-        return quad * spec[0] + dxi * spec[1]
+        spec = scipy.fft.rfft(work)
+        np.multiply(quad, spec[0], out=out)
+        np.multiply(dxi, spec[1], out=spec[1])
+        np.add(out, spec[1], out=out)
     return tables, nonlinear
 
 
 @functools.lru_cache(maxsize=16)
 def _linearized_tables(grid: Grid, dt: float):
-    """(tables, i*xi, w, rfft(q'), L q'', ||q'||^2) of the linearized flow.
+    """(tables, i*xi, -w, rfft(q'), L q'', ||q'||^2) of the linearized flow.
 
     The linearized operator's triple (c0, k, w) gives the exactly
     integrated symbol i*xi*(c0 + k|xi|) and the weight of -d_y(w v); the
@@ -174,28 +212,34 @@ def _linearized_tables(grid: Grid, dt: float):
     symbol[-1] = 0.0
     dxi = _odd_derivative_symbol(grid)
     lqpp, qp, norm_sq = projector_parts(grid)
-    qp_hat = np.fft.rfft(qp)
-    _read_only(dxi, w, qp_hat)
-    return _Etdrk4Tables(symbol, dt), dxi, w, qp_hat, lqpp, norm_sq
+    qp_hat = scipy.fft.rfft(qp)
+    neg_w = -w
+    _read_only(dxi, neg_w, qp_hat)
+    return _Etdrk4Tables(symbol, dt), dxi, neg_w, qp_hat, lqpp, norm_sq
 
 
 def _linearized_flow(grid: Grid, dt: float, forcing: Field | None):
     """The linearized tables and a right-hand side for one static forcing.
 
     The forcing term i*xi*f^ is transformed once; per stage there is one
-    irfft and one rfft of w v.
+    irfft and one rfft of -w v.
     """
     if forcing is not None and forcing.grid != grid:
         raise UsageError("forcing lives on a different grid")
-    tables, dxi, w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
+    tables, dxi, neg_w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
     n = grid.n_points
     dx = grid.spacing
-    force = dxi * np.fft.rfft(forcing.values) if forcing is not None else 0.0
+    force = dxi * scipy.fft.rfft(forcing.values) if forcing is not None else 0.0
 
-    def nonlinear(vh):
-        v = np.fft.irfft(vh, n=n)
+    def nonlinear(vh, out):
+        v = scipy.fft.irfft(vh, n=n)
         coef = dx * float(v @ lqpp) / norm_sq
-        return dxi * np.fft.rfft(-w * v) + force + coef * qp_hat
+        np.multiply(neg_w, v, out=v)
+        spec = scipy.fft.rfft(v)
+        np.multiply(dxi, spec, out=out)
+        np.add(out, force, out=out)
+        np.multiply(coef, qp_hat, out=spec)
+        np.add(out, spec, out=out)
     return tables, nonlinear
 
 
@@ -204,8 +248,8 @@ def _check_dt(dt: float) -> None:
         raise ConfigurationError(f"dt must be positive, got {dt}")
 
 
-def _check_finite(uh, t: float) -> None:
-    if not np.isfinite(uh).all():
+def _check_finite(uh, finite, t: float) -> None:
+    if not np.isfinite(uh, out=finite).all():
         raise EvolutionError(f"non-finite state after step at t = {t}")
 
 
@@ -297,13 +341,17 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
     grid = initial.field.grid
     t0 = initial.time
     states = [initial]
-    uh = np.fft.rfft(initial.field.values)
+    uh = scipy.fft.rfft(initial.field.values)
+    out = np.empty_like(uh)
+    stages = np.empty((9,) + uh.shape, dtype=uh.dtype)
+    finite = np.empty(uh.shape, dtype=bool)
     for k in range(1, n_steps + 1):
-        uh = tables.step_spectrum(uh, nonlinear)
-        _check_finite(uh, t0 + (k - 1) * dt)
+        tables.step_spectrum(uh, out, nonlinear, stages)
+        uh, out = out, uh
+        _check_finite(uh, finite, t0 + (k - 1) * dt)
         if k % snapshot_stride == 0 or k == n_steps:
             state = EvolutionState(t0 + k * dt,
-                                   Field(grid, np.fft.irfft(uh, n=grid.n_points)),
+                                   Field(grid, scipy.fft.irfft(uh, n=grid.n_points)),
                                    initial.potential)
             if guard is not None:
                 guard(state, uh)

@@ -13,6 +13,8 @@ there, which is the unique choice consistent with a real transform.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
@@ -229,14 +231,23 @@ def sobolev_norm(f: Field, s: float) -> float:
     return _spectrum_sobolev_norm(np.fft.rfft(f.values), f.grid, s)
 
 
+@functools.lru_cache(maxsize=16)
+def _sobolev_weight(g: Grid, s: float) -> np.ndarray:
+    """Read-only half-spectrum weight times <xi>^{2s} on grid g.
+
+    The weight is 2 off the DC and Nyquist bins (n_points is even).
+    """
+    w = np.full(g.rfft_wavenumbers.shape, 2.0)
+    w[0] = w[-1] = 1.0
+    weight = w * (1.0 + g.rfft_wavenumbers ** 2) ** s
+    weight.setflags(write=False)
+    return weight
+
+
 def _spectrum_sobolev_norm(spec, g: Grid, s: float) -> float:
     """sobolev_norm of the field whose rfft spectrum on grid g is spec."""
-    w = np.full(spec.shape, 2.0)
-    w[0] = 1.0
-    if g.n_points % 2 == 0:
-        w[-1] = 1.0
-    bracket = (1.0 + g.rfft_wavenumbers ** 2) ** s
-    total = np.sum(w * bracket * np.abs(spec) ** 2) * g.domain_length / g.n_points ** 2
+    total = (np.sum(_sobolev_weight(g, s) * np.abs(spec) ** 2)
+             * g.domain_length / g.n_points ** 2)
     return float(np.sqrt(total))
 
 

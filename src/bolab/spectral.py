@@ -1,11 +1,11 @@
 """Dense discretization, eigen-analysis, and constrained coercivity.
 
 A multiplier-plus-potential operator on n grid points becomes an n x n
-matrix through the FFT of the identity; with the uniform quadrature
-weight, matrix symmetry and L2 self-adjointness coincide, so plain
-symmetric eigensolvers apply.  Constrained Rayleigh quotients are
-computed exactly on the orthogonal complement of the constraint span
-(null-space basis + dense (generalized) eigensolve).
+matrix, the multiplier as the circulant of its first column; with the
+uniform quadrature weight, matrix symmetry and L2 self-adjointness
+coincide, so plain symmetric eigensolvers apply.  Constrained Rayleigh
+quotients are computed exactly on the orthogonal complement of the
+constraint span (null-space basis + dense (generalized) eigensolve).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, null_space
+from scipy.linalg import circulant, eigh, null_space
 
 from .errors import ConfigurationError, UsageError
 from .grid import Field, Grid, inner, l2_norm
@@ -54,12 +54,15 @@ class EigenReport:
 
 
 def _multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
-    """Dense matrix of a Fourier multiplier via FFT of the identity."""
-    n = grid.n_points
+    """Dense matrix of a Fourier multiplier: the circulant of its first column.
+
+    A multiplier commutes with translation, so column j is column 0 moved
+    down j rows, and column 0, the image of the unit vector at node 0,
+    is the irfft of the symbol.
+    """
     sym = np.asarray(rfft_symbol, dtype=complex).copy()
     sym[-1] = sym[-1].real
-    spec = np.fft.rfft(np.eye(n), axis=0)
-    return np.fft.irfft(sym[:, None] * spec, n=n, axis=0)
+    return circulant(np.fft.irfft(sym, n=grid.n_points))
 
 
 def discretize(spec: OperatorSpec, grid: Grid) -> DenseOperator:

@@ -5,12 +5,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, step_linearized, step_pbo, write_checkpoint)
-from bolab.evolution import _pbo_tables, reflect
+from bolab.evolution import _linearized_tables, _pbo_tables, reflect
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -208,11 +209,110 @@ def _rel_l2(f, g):
     return l2_norm(f - g) / l2_norm(g)
 
 
+def _allocating_step(tables, uh, nonlinear):
+    """The plain ETDRK4 step: a fresh array for every operation."""
+    n0 = nonlinear(uh)
+    eu = tables.e_half * uh
+    a = eu + tables.stage * n0
+    na = nonlinear(a)
+    b = eu + tables.stage * na
+    nb = nonlinear(b)
+    c = tables.e_half * a + tables.stage * (2.0 * nb - n0)
+    nc = nonlinear(c)
+    return tables.e_full * uh + tables.w1 * n0 + tables.w2x2 * (na + nb) + tables.w3 * nc
+
+
+def _allocating_pbo_rhs(grid, dt, pot):
+    tables, quad, dxi, v = _pbo_tables(grid, dt, pot)
+    n = grid.n_points
+
+    def nonlinear(uh):
+        u = scipy.fft.irfft(uh, n=n)
+        if v is None:
+            return quad * scipy.fft.rfft(u * u)
+        spec = scipy.fft.rfft(np.array([u * u, v * u]))
+        return quad * spec[0] + dxi * spec[1]
+    return tables, nonlinear
+
+
+def _allocating_linearized_rhs(grid, dt, forcing):
+    tables, dxi, neg_w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
+    n = grid.n_points
+    force = dxi * scipy.fft.rfft(forcing.values)
+
+    def nonlinear(vh):
+        v = scipy.fft.irfft(vh, n=n)
+        coef = grid.spacing * float(v @ lqpp) / norm_sq
+        return dxi * scipy.fft.rfft(neg_w * v) + force + coef * qp_hat
+    return tables, nonlinear
+
+
+class TestBufferedStep:
+    """The in-place step of ``_evolve`` against the plain allocating formula."""
+
+    N_STEPS, DT = 5, 0.01
+
+    def _reference(self, initial, rhs):
+        tables, nonlinear = rhs
+        n = initial.field.grid.n_points
+        uh = scipy.fft.rfft(initial.field.values)
+        states = []
+        for _ in range(self.N_STEPS):
+            uh = _allocating_step(tables, uh, nonlinear)
+            states.append(scipy.fft.irfft(uh, n=n))
+        return np.array(states)
+
+    @pytest.mark.parametrize("pot", [None, PotentialSpec.bump(0.1)],
+                             ids=["free", "bump"])
+    def test_pbo_bit_identical(self, pot):
+        g = Grid(1024, 256.0)
+        initial = EvolutionState(0.0, _perturbed_soliton(g), pot)
+        res = evolve_pbo(initial, self.N_STEPS * self.DT, self.DT)
+        got = np.array([s.field.values for s in res.states[1:]])
+        want = self._reference(initial, _allocating_pbo_rhs(g, self.DT, pot))
+        assert np.array_equal(got, want)
+
+    def test_linearized_bit_identical(self):
+        g = Grid(1024, 256.0)
+        force = _linearized_forcing(g)
+        initial = EvolutionState(0.0, Field(g, np.exp(-((g.nodes - 5.0) / 6.0) ** 2)
+                                            * np.sin(0.7 * g.nodes)))
+        res = evolve_linearized(initial, self.N_STEPS * self.DT, self.DT, forcing=force)
+        got = np.array([s.field.values for s in res.states[1:]])
+        want = self._reference(initial, _allocating_linearized_rhs(g, self.DT, force))
+        assert np.array_equal(got, want)
+
+    def test_concurrent_runs_own_their_buffers(self):
+        # two runs share one cached table but start from different data:
+        # stage buffers kept in the tables would mix them
+        g = Grid(1024, 256.0)
+        pot = PotentialSpec.bump(0.1)
+
+        def member(centre):
+            res = evolve_pbo(EvolutionState(0.0, _perturbed_soliton(g, centre), pot),
+                             0.5, self.DT, snapshot_stride=10)
+            return np.array([s.field.values for s in res.states])
+
+        centres = (3.0, -3.0)
+        serial = [member(c) for c in centres]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(member, c) for c in centres]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+
 class TestDriver:
     @pytest.mark.parametrize("flow", ["pbo-free", "pbo-potential", "linearized"])
     def test_eight_fft_calls_per_step(self, flow, monkeypatch):
         # the state stays spectral: one irfft and one (batched) rfft per
-        # stage; snapshots are taken off by differencing two run lengths
+        # stage, all on scipy.fft; snapshots are taken off by differencing
+        # two run lengths
         g = Grid(256, 64.0)
         if flow == "linearized":
             initial = EvolutionState(0.0, Field(g, 0.1 * np.exp(-g.nodes ** 2)))
@@ -231,12 +331,12 @@ class TestDriver:
         run(2, 100)                  # builds the cached tables
         calls = []
         for name in ("rfft", "irfft"):
-            original = getattr(np.fft, name)
+            original = getattr(scipy.fft, name)
 
             def counted(*args, _original=original, **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(scipy.fft, name, counted)
 
         def per_step(stride):
             counts = []

@@ -5,7 +5,7 @@ import pytest
 
 from bolab import (ConfigurationError, Field, Grid, OperatorSpec, UsageError,
                    angle_lemma_bound, apply_operator, closed_form_table,
-                   constrained_min_rayleigh, discretize, inner, l2_norm,
+                   constrained_min_rayleigh, discretize, l2_norm,
                    sobolev_norm, spectrum_below_continuum)
 from bolab.spectral import parity_restriction, sobolev_gram_matrix
 from bolab.soliton import (eigenfunction_field, profile, profile_derivative,
@@ -74,6 +74,20 @@ class TestDiscretize:
     def test_budget_enforced(self):
         with pytest.raises(ConfigurationError):
             discretize(OperatorSpec("linearized"), Grid(8192, 1024.0))
+
+    def test_multiplier_matrix_matches_the_transformed_identity(self, grid_small):
+        # the circulant of the first column against the multiplier applied
+        # to every unit vector: an even real, an even and an odd symbol
+        from bolab.spectral import _multiplier_matrix
+        n = grid_small.n_points
+        xi = grid_small.rfft_wavenumbers
+        for symbol in (np.abs(xi), (1.0 + xi ** 2) ** 0.5, 1j * xi):
+            sym = symbol.astype(complex)
+            sym[-1] = sym[-1].real
+            want = np.fft.irfft(sym[:, None] * np.fft.rfft(np.eye(n), axis=0),
+                                n=n, axis=0)
+            got = _multiplier_matrix(grid_small, symbol)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestSpectrum:
