@@ -262,8 +262,10 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
             f"scale parameter left the window [1/2, 2]: "
             f"range ({track.c.min():.3g}, {track.c.max():.3g})")
 
-    # corrected parameter trajectory, resampled at the snapshot times
-    ex_slow = integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12), ds=1e-3)
+    # corrected parameter trajectory from the first fit, resampled at the
+    # snapshot times
+    ex_slow = integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12), ds=1e-3,
+                              y0=(h * track.a[0], track.c[0]))
     ex = convert_frame(ex_slow, h)
     a_hat = CubicSpline(ex.times, ex.positions)(res.times)
     c_hat = CubicSpline(ex.times, ex.scales)(res.times)

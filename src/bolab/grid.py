@@ -6,7 +6,9 @@ derivatives |xi|^s, the regularizing inverse (1 + gamma*d/dy)^{-1}, and
 the Plancherel-consistent Sobolev norms.
 
 All multiplier operators act through the real FFT, so real-valuedness of
-fields is preserved structurally.  Odd symbols (i*sgn(xi), i*xi) are set
+fields is preserved structurally.  Every transform in the package calls
+``scipy.fft`` (one plan cache per process); only the frequency tables
+come from ``numpy.fft``.  Odd symbols (i*sgn(xi), i*xi) are set
 to zero on the Nyquist mode; complex symbols keep only their real part
 there, which is the unique choice consistent with a real transform.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigurationError, UsageError
 
@@ -147,7 +150,7 @@ def apply_multiplier(f: Field, symbol) -> Field:
     if m.shape != f.grid.rfft_wavenumbers.shape:
         raise UsageError("symbol length does not match rfft spectrum")
     m[-1] = m[-1].real
-    out = np.fft.irfft(m * np.fft.rfft(f.values), n=f.grid.n_points)
+    out = scipy.fft.irfft(m * scipy.fft.rfft(f.values), n=f.grid.n_points)
     return Field(f.grid, out)
 
 
@@ -228,7 +231,7 @@ def sobolev_norm(f: Field, s: float) -> float:
     The Plancherel weight L/N^2 (doubled off the DC/Nyquist bins of the
     half spectrum) makes s = 0 agree with the quadrature of f^2.
     """
-    return _spectrum_sobolev_norm(np.fft.rfft(f.values), f.grid, s)
+    return _spectrum_sobolev_norm(scipy.fft.rfft(f.values), f.grid, s)
 
 
 @functools.lru_cache(maxsize=16)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import circulant, eigh, null_space
 
 from .errors import ConfigurationError, UsageError
@@ -62,7 +63,7 @@ def _multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
     """
     sym = np.asarray(rfft_symbol, dtype=complex).copy()
     sym[-1] = sym[-1].real
-    return circulant(np.fft.irfft(sym, n=grid.n_points))
+    return circulant(scipy.fft.irfft(sym, n=grid.n_points))
 
 
 def discretize(spec: OperatorSpec, grid: Grid) -> DenseOperator:

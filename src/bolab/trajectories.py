@@ -104,9 +104,9 @@ def _scale_event(c_prev, c_next):
     return None
 
 
-def _integrate(rhs, s_end: float, ds: float, detect_stop: bool):
+def _integrate(rhs, s_end: float, ds: float, detect_stop: bool, y0):
     steps = int(math.ceil(s_end / ds - 1e-12))
-    y = (0.0, 1.0)
+    y = (float(y0[0]), float(y0[1]))     # Python floats: the scalar W path
     times = [0.0]
     ys = [y]
     stop = None
@@ -138,20 +138,24 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool):
     return np.array(times), arr[:, 0], arr[:, 1], stop
 
 
-def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
-    """Reference flow from (A, C)(0) = (0, 1); stops early if C hits 1/2 or 2."""
+def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
+                        y0=(0.0, 1.0)) -> TrajectoryState:
+    """Reference flow from (A, C)(0) = y0; stops early if C hits 1/2 or 2."""
     if not (ds > 0):
         raise ConfigurationError(f"ds must be positive, got {ds}")
-    times, pos, sc, stop = _integrate(_reference_rhs(pot), s_end, ds, detect_stop=True)
+    times, pos, sc, stop = _integrate(_reference_rhs(pot), s_end, ds,
+                                      detect_stop=True, y0=y0)
     return TrajectoryState("slow_s", "reference", times, pos, sc,
                            stop_time=stop, h=pot.h)
 
 
-def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
-    """Second-order-corrected flow from (A, C)(0) = (0, 1)."""
+def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
+                    y0=(0.0, 1.0)) -> TrajectoryState:
+    """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a)."""
     if not (ds > 0):
         raise ConfigurationError(f"ds must be positive, got {ds}")
-    times, pos, sc, stop = _integrate(_exact_rhs(pot), s_end, ds, detect_stop=False)
+    times, pos, sc, stop = _integrate(_exact_rhs(pot), s_end, ds,
+                                      detect_stop=False, y0=y0)
     return TrajectoryState("slow_s", "exact", times, pos, sc, stop_time=None, h=pot.h)
 
 

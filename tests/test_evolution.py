@@ -11,7 +11,7 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, step_linearized, step_pbo, write_checkpoint)
-from bolab.evolution import _linearized_tables, _pbo_tables, reflect
+from bolab.evolution import _linearized_tables, _pbo_flow, _pbo_tables, reflect
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -223,15 +223,19 @@ def _allocating_step(tables, uh, nonlinear):
 
 
 def _allocating_pbo_rhs(grid, dt, pot):
-    tables, quad, dxi, v = _pbo_tables(grid, dt, pot)
+    """The pBO right-hand side as one dealiased flux, d_x P(u (V - u/2)).
+
+    The free flow keeps the arithmetic of -(1/2) d_x P(u^2): scaling by
+    -1/2 is exact, so both forms give the same bits.
+    """
+    tables, dflux, v = _pbo_tables(grid, dt, pot)
     n = grid.n_points
 
     def nonlinear(uh):
         u = scipy.fft.irfft(uh, n=n)
         if v is None:
-            return quad * scipy.fft.rfft(u * u)
-        spec = scipy.fft.rfft(np.array([u * u, v * u]))
-        return quad * spec[0] + dxi * spec[1]
+            return (-0.5 * dflux) * scipy.fft.rfft(u * u)
+        return dflux * scipy.fft.rfft(u * (v - 0.5 * u))
     return tables, nonlinear
 
 
@@ -305,6 +309,33 @@ class TestBufferedStep:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
+
+
+class TestPboFlux:
+    """Under a potential the whole flux u (V - u/2) is dealiased."""
+
+    def test_one_dealiased_flux(self):
+        g = Grid(1024, 256.0)
+        pot = PotentialSpec.bump(0.1)
+        _, nonlinear = _pbo_flow(g, 0.01, pot)
+        uh = scipy.fft.rfft(_perturbed_soliton(g).values)
+        got = np.empty_like(uh)
+        nonlinear(uh, got)
+
+        # the two-row formula: 2/3 rule on u^2 only, V u undealiased
+        xi = g.rfft_wavenumbers
+        kept = xi <= (2.0 / 3.0) * xi[-1]
+        dxi = 1j * xi
+        dxi[-1] = 0.0
+        u = scipy.fft.irfft(uh, n=g.n_points)
+        v = pot.sampled_potential(g.nodes)
+        two_rows = (np.where(kept, -0.5 * dxi, 0.0) * scipy.fft.rfft(u * u)
+                    + dxi * scipy.fft.rfft(v * u))
+
+        assert np.all(got[~kept] == 0.0)
+        assert np.any(two_rows[~kept] != 0.0)     # V u reaches above the cutoff
+        err = np.max(np.abs(got[kept] - two_rows[kept]))
+        assert err <= 1e-12 * np.max(np.abs(two_rows[kept]))
 
 
 class TestDriver:

@@ -3,11 +3,12 @@
 import time
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from bolab import ConfigurationError, ExperimentConfig, run_theorem_sweep
 from bolab import experiments
-from bolab.experiments import SweepMember, parse_config
+from bolab.experiments import SweepMember, _run_member, parse_config
 
 
 class TestParseConfig:
@@ -63,3 +64,19 @@ class TestSweepLoop:
             assert s.failures == [{"h": 0.05, "error": "ValueError: stub failure"}]
         assert summaries[0].members == summaries[1].members
         assert summaries[0].fitted_remainder_order == pytest.approx(1.5, rel=1e-12)
+
+
+class TestRunMember:
+    def test_corrected_ode_starts_from_the_first_fit(self, tmp_path):
+        h = 0.2
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        m = _run_member(cfg, h, tmp_path)
+        first_fit = np.loadtxt(m.csv_track, delimiter=",", skiprows=1, max_rows=1)
+        start = np.loadtxt(m.csv_trajectory, delimiter=",", skiprows=1, max_rows=1,
+                           usecols=(0, 1, 2))
+        a0, c0 = first_fit[1], first_fit[2]
+        assert c0 != 1.0                   # the perturbation moves the first fit
+        # the fast-frame trajectory starts at (t, a, c) = (0, h a0 / h, c0)
+        assert start[0] == 0.0
+        assert start[1] == pytest.approx(a0, rel=1e-15, abs=1e-300)
+        assert start[2] == c0

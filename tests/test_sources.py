@@ -1,0 +1,67 @@
+"""Source-level guards on the package modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bolab
+
+SOURCES = sorted(Path(bolab.__file__).parent.glob("*.py"))
+FREQUENCY_HELPERS = {"fftfreq", "rfftfreq"}
+
+
+def _numpy_fft_transforms(source: str) -> list:
+    """Names of the numpy.fft functions, other than the frequency helpers,
+    that `source` calls or imports, each with its line number."""
+    tree = ast.parse(source)
+    numpy_names, fft_names = set(), set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                elif alias.name == "numpy.fft":
+                    if alias.asname:
+                        fft_names.add(alias.asname)
+                    else:
+                        numpy_names.add("numpy")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "numpy":
+                fft_names.update(a.asname or a.name for a in node.names if a.name == "fft")
+            elif node.module == "numpy.fft":
+                found.extend((a.name, node.lineno) for a in node.names
+                             if a.name not in FREQUENCY_HELPERS)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        via_fft_name = isinstance(owner, ast.Name) and owner.id in fft_names
+        via_numpy = (isinstance(owner, ast.Attribute) and owner.attr == "fft"
+                     and isinstance(owner.value, ast.Name)
+                     and owner.value.id in numpy_names)
+        if (via_fft_name or via_numpy) and node.func.attr not in FREQUENCY_HELPERS:
+            found.append((node.func.attr, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("source, names", [
+    ("import numpy as np\nnp.fft.rfft(x)", ["rfft"]),
+    ("import numpy\nnumpy.fft.irfft(x, n=8)", ["irfft"]),
+    ("import numpy.fft\nnumpy.fft.fft(x)", ["fft"]),
+    ("import numpy.fft as nf\nnf.ifft(x)", ["ifft"]),
+    ("from numpy import fft\nfft.rfftn(x)", ["rfftn"]),
+    ("from numpy.fft import rfft, rfftfreq", ["rfft"]),
+    ("import numpy as np\nnp.fft.rfftfreq(8, d=0.5)\nnp.fft.fftfreq(8)", []),
+    ("import scipy.fft\nscipy.fft.rfft(x)", []),
+])
+def test_scanner_finds_numpy_fft_transforms(source, names):
+    assert [name for name, _ in _numpy_fft_transforms(source)] == names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_transforms_call_scipy_fft_only(path):
+    # numpy.fft and scipy.fft each keep a plan cache; a numpy.fft
+    # transform next to the scipy.fft ones would bring the second back
+    assert _numpy_fft_transforms(path.read_text(encoding="utf-8")) == []

@@ -45,10 +45,10 @@ def _array_exact_rhs(pot):
     return rhs
 
 
-def _array_integrate(rhs, s_end, ds):
-    """Fixed-step RK4 from (0, 1) without stop events."""
+def _array_integrate(rhs, s_end, ds, y0=(0.0, 1.0)):
+    """Fixed-step RK4 from y0 without stop events."""
     steps = int(math.ceil(s_end / ds - 1e-12))
-    y = np.array([0.0, 1.0])
+    y = np.array(y0)
     times, ys = [0.0], [y.copy()]
     for k in range(steps):
         y = _array_rk4_step(rhs, y, min(ds, s_end - k * ds))
@@ -146,6 +146,22 @@ class TestIntegrators:
         times, pos, sc = _array_integrate(_array_exact_rhs(pot), 2.0, 1e-3)
         for got, want in ((tr.times, times), (tr.positions, pos), (tr.scales, sc)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("integrate, array_rhs", [
+        (integrate_reference, _array_reference_rhs),
+        (integrate_exact, _array_exact_rhs)], ids=["reference", "exact"])
+    def test_start_from_y0(self, integrate, array_rhs):
+        pot = PotentialSpec.bump(0.1)
+        y0 = (0.05, 1.0107)
+        tr = integrate(pot, 2.0, y0=y0)
+        assert (tr.positions[0], tr.scales[0]) == y0
+        times, pos, sc = _array_integrate(array_rhs(pot), 2.0, 1e-3, y0)
+        for got, want in ((tr.times, times), (tr.positions, pos), (tr.scales, sc)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        # the default start is (0, 1), bit for bit
+        default, explicit = integrate(pot, 2.0), integrate(pot, 2.0, y0=(0.0, 1.0))
+        assert np.array_equal(default.positions, explicit.positions)
+        assert np.array_equal(default.scales, explicit.scales)
 
     def test_scale_event_stops_reference_flow(self):
         tr = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)

@@ -3,6 +3,7 @@ integral and the sweep that combines them."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from bolab import (ConfigurationError, EvolutionState, Field, Grid,
                    LinearizedRunSpec, LocalizerSpec, OperatorSpec, UsageError,
@@ -73,12 +74,12 @@ class TestGRemainder:
         # then one quadrature per snapshot
         calls = []
         for name in ("rfft", "irfft"):
-            original = getattr(np.fft, name)
+            original = getattr(scipy.fft, name)
 
             def counted(*args, _original=original, **kwargs):
                 calls.append(1)
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(scipy.fft, name, counted)
         for n in (3, 7):
             vs = _snapshots(grid, n)
             calls.clear()
