@@ -138,13 +138,12 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool, y0):
     return np.array(times), arr[:, 0], arr[:, 1], stop
 
 
-def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
-                        y0=(0.0, 1.0)) -> TrajectoryState:
-    """Reference flow from (A, C)(0) = y0; stops early if C hits 1/2 or 2."""
+def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
+    """Reference flow from (A, C)(0) = (0, 1); stops early if C hits 1/2 or 2."""
     if not (ds > 0):
         raise ConfigurationError(f"ds must be positive, got {ds}")
     times, pos, sc, stop = _integrate(_reference_rhs(pot), s_end, ds,
-                                      detect_stop=True, y0=y0)
+                                      detect_stop=True, y0=(0.0, 1.0))
     return TrajectoryState("slow_s", "reference", times, pos, sc,
                            stop_time=stop, h=pot.h)
 
