@@ -5,7 +5,7 @@ Submodules, roughly bottom-up:
 
     grid          periodic grid, multiplier operators, norms
     soliton       the soliton family, eigenfunctions, exact integral table
-    potential     compactly supported slowly varying potentials
+    potential     the slowly varying bump potential V(x) = W(hx)
     operators     linearized operators, dual variable, commutator probe
     spectral      dense spectra and constrained coercivity
     evolution     perturbed / free / linearized time integration
@@ -24,7 +24,7 @@ from .errors import (BolabError, ConfigurationError, DecompositionError,
 from .grid import (Field, Grid, LocalizerSpec, cell_l2_profile, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
                    integral, l2_norm, local_sup_norm, localizer,
-                   sobolev_norm, translate, weighted_l2_norm)
+                   sobolev_norm, translate)
 from .soliton import (ClosedFormTable, SolitonParams, closed_form_table,
                       eigenfunction_field, soliton_field, soliton_residual)
 from .potential import PotentialSpec
@@ -34,8 +34,7 @@ from .spectral import (DenseOperator, EigenReport, angle_lemma_bound,
                        constrained_min_rayleigh, discretize,
                        spectrum_below_continuum)
 from .evolution import (EvolutionState, InvariantReport, evolve_linearized,
-                        evolve_pbo, invariants, read_checkpoint, step_linearized,
-                        step_pbo, write_checkpoint)
+                        evolve_pbo, invariants, read_checkpoint, write_checkpoint)
 from .modulation import (Decomposition, ParameterTrack, decompose,
                          track_parameters)
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,

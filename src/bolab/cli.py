@@ -8,8 +8,10 @@ Subcommands:
     theorem-sweep  h-sweep with remainder/residual order fits (JSON + CSV)
     virial         local-smoothing ratio sweep (JSON)
 
-Global flags: --config PATH, --out DIR, --threads K.  Exit code 0 iff
-every tolerance-tagged check in the requested run passes.
+Global flags: --config PATH, --out DIR, --threads K.  Files are written
+under the config's ``out_dir`` (default ``runs``), which --out
+overrides.  Exit code 0 iff every tolerance-tagged check in the
+requested run passes.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def cmd_spectrum(args, cfg) -> int:
         "edge_ambiguous": report.edge_ambiguous[:8],
         "warnings": report.warnings,
     }
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "spectrum.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
@@ -108,12 +110,12 @@ def cmd_spectrum(args, cfg) -> int:
 def cmd_evolve(args, cfg) -> int:
     grid = Grid(cfg.n_points, cfg.domain_length)
     pot = (PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width)
-           if args.h > 0 else PotentialSpec.zero())
+           if args.h > 0 else None)
     u0 = soliton_field(grid, SolitonParams(0.0, 1.0))
-    state = EvolutionState(0.0, u0, pot if args.h > 0 else None)
+    state = EvolutionState(0.0, u0, pot)
     res = evolve_pbo(state, args.t_end, cfg.dt,
                      snapshot_stride=max(1, int(round(args.t_end / cfg.dt / 64))))
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     inv0 = invariants(res.states[0])
     invT = invariants(res.states[-1])
@@ -135,7 +137,7 @@ def cmd_evolve(args, cfg) -> int:
 
 
 def cmd_trajectories(args, cfg) -> int:
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pot = PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width)
     ref = integrate_reference(pot, args.s_end)
@@ -193,7 +195,7 @@ def cmd_virial(args, cfg) -> int:
     run = LinearizedRunSpec(initial=v0, forcing=forcing, t_end=args.t_end,
                             dt=cfg.dt, snapshot_stride=cfg.snapshot_stride)
     reports = virial_sweep(run, args.gammas, args.y0s)
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "virial.json"
     path.write_text(json.dumps([asdict(r) for r in reports], indent=2),

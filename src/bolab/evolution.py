@@ -45,11 +45,9 @@ on the left, ``np.multiply(table, x, out=x)``, never ``x *= table``.
 The coefficient tables are read-only and shared: ``functools.lru_cache``
 holds them per (grid, dt) and, for pBO, per potential (``PotentialSpec``
 compares by its key).  The stage rows, the right-hand side and its work
-buffers belong to one ``evolve_*`` or ``step_*`` call, so concurrent
-runs share no writable state.  ``step_pbo`` and ``step_linearized`` are
-``_evolve`` run for one step.  The linearized flow reads its symbol,
-weight and projector from `operators`, the one definition of the
-operator family.
+buffers belong to one ``evolve_*`` call, so concurrent runs share no
+writable state.  The linearized flow reads its symbol, weight and
+projector from `operators`, the one definition of the operator family.
 """
 
 from __future__ import annotations
@@ -242,34 +240,9 @@ def _linearized_flow(grid: Grid, dt: float, forcing: Field | None):
     return tables, nonlinear
 
 
-def _check_dt(dt: float) -> None:
-    if not (dt > 0):
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-
-
 def _check_finite(uh, finite, t: float) -> None:
     if not np.isfinite(uh, out=finite).all():
         raise EvolutionError(f"non-finite state after step at t = {t}")
-
-
-def step_pbo(state: EvolutionState, dt: float) -> EvolutionState:
-    """Advance u_t = d_x(-H u_x + V u - u^2/2) by one ETDRK4 step."""
-    _check_dt(dt)
-    flow = _pbo_flow(state.field.grid, dt, state.potential)
-    return _evolve(state, 1, dt, 1, flow).states[-1]
-
-
-def step_linearized(state: EvolutionState, dt: float,
-                    forcing: Field | None = None) -> EvolutionState:
-    """Advance v_t = P v + d_y((linearized op) v) + d_y f by one step.
-
-    The multiplier part i*xi*(1+|xi|) is integrated exactly; -d_y(q v),
-    the rank-one drift projector, and the forcing make up the bounded
-    remainder.  The forcing is held fixed across the step's stages.
-    """
-    _check_dt(dt)
-    flow = _linearized_flow(state.field.grid, dt, forcing)
-    return _evolve(state, 1, dt, 1, flow).states[-1]
 
 
 def _kink_term(f_int: float, g_int: float, grid: Grid) -> float:
@@ -316,12 +289,11 @@ def invariants(state: EvolutionState) -> InvariantReport:
 class EvolveResult:
     states: list            # snapshot EvolutionStates (including t = 0)
     times: np.ndarray
-    aborted: bool = False
-    abort_reason: str = ""
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    _check_dt(dt)
+    if not (dt > 0):
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
@@ -361,7 +333,8 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
 def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
                snapshot_stride: int = 1, blowup_factor: float = 10.0,
                seam_guard: bool = True) -> EvolveResult:
-    """ETDRK4 run of the pBO flow to t_end, with snapshots every `snapshot_stride` steps.
+    """ETDRK4 run of u_t = d_x(-H u_x + V u - u^2/2) to t_end, with
+    snapshots every `snapshot_stride` steps.
 
     Aborts with EvolutionError if the H^{1/2} norm exceeds blowup_factor
     times its initial value, or (seam_guard) if the field maximum drifts
@@ -388,17 +361,15 @@ def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
 def evolve_linearized(initial: EvolutionState, t_end: float, dt: float,
                       forcing: Field | None = None,
                       snapshot_stride: int = 1) -> EvolveResult:
-    """ETDRK4 run of the linearized flow with a static forcing profile."""
+    """ETDRK4 run of v_t = P v + d_y((linearized op) v) + d_y f, f static.
+
+    The multiplier part i*xi*(1+|xi|) is integrated exactly; -d_y(q v),
+    the rank-one drift projector, and the forcing make up the bounded
+    remainder.
+    """
     n_steps = _step_count(t_end, dt)
     return _evolve(initial, n_steps, dt, snapshot_stride,
                    _linearized_flow(initial.field.grid, dt, forcing))
-
-
-def reflect(f: Field) -> Field:
-    """Sampled f(-x); the node at -L/2 is its own mirror image."""
-    n = f.grid.n_points
-    idx = (n - np.arange(n)) % n
-    return Field(f.grid, f.values[idx])
 
 
 # ---------------------------------------------------------------------------

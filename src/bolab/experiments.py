@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +69,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"threads must be at least 1, got {self.threads}")
 
 
-_CONFIG_TYPES = {
-    "n_points": int, "domain_length": float, "dt": float,
-    "snapshot_stride": int, "mu0": float, "bump_amplitude": float,
-    "bump_width": float, "perturbation": str, "delta_scale": float,
-    "out_dir": str, "threads": int,
-}
+# each key's parser is its default's type; h_list is a comma-separated list
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)
+                 if f.name != "h_list"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -221,18 +218,7 @@ class RunSummary:
     wall_seconds: float
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "members": [asdict(m) for m in self.members],
-            "failures": self.failures,
-            "fitted_remainder_order": self.fitted_remainder_order,
-            "fitted_remainder_stderr": self.fitted_remainder_stderr,
-            "fitted_residual_c_order": self.fitted_residual_c_order,
-            "fitted_residual_c_stderr": self.fitted_residual_c_stderr,
-            "wall_seconds": self.wall_seconds,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:

@@ -7,8 +7,8 @@ the Plancherel-consistent Sobolev norms.
 
 All multiplier operators act through the real FFT, so real-valuedness of
 fields is preserved structurally.  Every transform in the package calls
-``scipy.fft`` (one plan cache per process); only the frequency tables
-come from ``numpy.fft``.  Odd symbols (i*sgn(xi), i*xi) are set
+``scipy.fft`` (one plan cache per process); only the frequency table
+comes from ``numpy.fft``.  Odd symbols (i*sgn(xi), i*xi) are set
 to zero on the Nyquist mode; complex symbols keep only their real part
 there, which is the unique choice consistent with a real transform.
 """
@@ -31,11 +31,12 @@ class Grid:
         domain_length: box length L.
         spacing: L / n_points.
         nodes: node coordinates, nodes[j] = -L/2 + j*spacing.
-        wavenumbers: 2*pi*m/L in standard FFT ordering (full spectrum).
+        rfft_wavenumbers: 2*pi*m/L for m = 0, ..., n_points/2, the
+            half axis of every transform (the last entry is Nyquist).
     """
 
     __slots__ = ("n_points", "domain_length", "spacing", "nodes",
-                 "wavenumbers", "rfft_wavenumbers")
+                 "rfft_wavenumbers")
 
     def __init__(self, n_points: int, domain_length: float):
         if n_points < 8 or (n_points & (n_points - 1)) != 0:
@@ -49,8 +50,6 @@ class Grid:
         self.spacing = self.domain_length / self.n_points
         self.nodes = -self.domain_length / 2 + self.spacing * np.arange(self.n_points)
         self.nodes.setflags(write=False)
-        self.wavenumbers = 2 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
-        self.wavenumbers.setflags(write=False)
         self.rfft_wavenumbers = 2 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
         self.rfft_wavenumbers.setflags(write=False)
 
@@ -252,12 +251,6 @@ def _spectrum_sobolev_norm(spec, g: Grid, s: float) -> float:
     total = (np.sum(_sobolev_weight(g, s) * np.abs(spec) ** 2)
              * g.domain_length / g.n_points ** 2)
     return float(np.sqrt(total))
-
-
-def weighted_l2_norm(f: Field, power: float) -> float:
-    """L2 norm of <y>^power * f with <y> = (1 + y^2)^{1/2}."""
-    w = (1.0 + f.grid.nodes ** 2) ** (power / 2.0)
-    return float(np.sqrt(f.grid.spacing) * np.linalg.norm(w * f.values))
 
 
 def cell_l2_profile(f: Field):

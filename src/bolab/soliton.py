@@ -2,8 +2,9 @@
 
 The traveling-wave profile is the algebraically decaying bump
 ``q(y) = 4/(1 + y^2)`` and the two-parameter family is
-``q_{a,c}(x) = c*q(c*(x-a))``.  Every field here is sampled from closed
-formulas; nothing is obtained by solving the profile equation
+``q_{a,c}(x) = c*q(c*(x-a))``.  On a periodic box of length L the exact
+wave is the image sum ``periodic_profile``, which the profile-equation
+residual checks.  Every field here is sampled from closed formulas; nothing is obtained by solving the profile equation
 numerically.  The (a, c) derivatives of q_{a,c} are sampled where they
 are used, in the Newton fit of ``modulation._constraint_fields``.  The
 integral table keeps its entries symbolic (multiples of pi and sqrt(5))
@@ -61,6 +62,19 @@ def scaled_profile(y):
     return 4.0 * (1.0 - y * y) / (1.0 + y * y) ** 2
 
 
+def periodic_profile(y, length: float):
+    """q_per(y) = sum_n q(y + nL) = (2 pi/L) sinh(k)/(sinh^2(k/2) + sin^2(k y/2)).
+
+    The L-periodic image sum of q, with k = 2 pi/L: the periodic
+    Benjamin-Ono wave, which solves c_L q - H q' - q^2/2 = 0 on the box
+    exactly, at speed c_L = k coth k.  The denominator, half of
+    cosh k - cos(k y), is written free of cancellation for large L.
+    """
+    y = np.asarray(y, dtype=float)
+    k = 2.0 * math.pi / length
+    return k * math.sinh(k) / (math.sinh(0.5 * k) ** 2 + np.sin(0.5 * k * y) ** 2)
+
+
 def periodic_profile_hilbert(y, length: float):
     """H(q_per)(y) = -(4 pi/L) sin(2 pi y/L)/(cosh(2 pi/L) - cos(2 pi y/L)).
 
@@ -82,9 +96,19 @@ def soliton_field(grid: Grid, p: SolitonParams) -> Field:
 
 
 def soliton_residual(p: SolitonParams, grid: Grid) -> float:
-    """L2 norm of c*q_{a,c} - H(q_{a,c}') - q_{a,c}^2/2 on the grid."""
-    q = soliton_field(grid, p)
-    res = p.c * q - hilbert(derivative(q)) - 0.5 * q * q
+    """L2 norm of the periodised soliton's profile-equation residual.
+
+    The box soliton c*q_per(c*(y - a); c*L) is the scaled periodic wave,
+    so its speed is c*k_c*coth(k_c) with k_c = 2 pi/(c*L); the residual
+    s*q - H(q') - q^2/2 at that speed s is left with the discretisation
+    error alone, not the far-field defect of the line profile's 4/y^2
+    tail.
+    """
+    cl = p.c * grid.domain_length
+    k_c = 2.0 * math.pi / cl
+    q = Field(grid, p.c * periodic_profile(p.c * (grid.nodes - p.a), cl))
+    speed = p.c * k_c / math.tanh(k_c)
+    res = speed * q - hilbert(derivative(q)) - 0.5 * q * q
     return l2_norm(res)
 
 

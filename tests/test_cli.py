@@ -19,6 +19,17 @@ def test_trajectories_defaults_pass(tmp_path, capsys):
                 float(cell)
 
 
+def test_config_out_dir_is_honoured(tmp_path, monkeypatch):
+    # without --out, files go to the config's out_dir, not the working directory
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out_dir = {tmp_path / 'from-config'}\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", str(cfg), "trajectories"]) == 0
+    for name in ("reference_slow.csv", "exact_slow.csv", "exact_fast.csv"):
+        assert (tmp_path / "from-config" / name).exists()
+        assert not (tmp_path / name).exists()
+
+
 def test_evolve_under_a_potential_passes(tmp_path, capsys):
     # the mass is not conserved under V (d/dt M = 1/2 int V' u^2): it is
     # reported, and only the energy drift is gated

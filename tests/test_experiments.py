@@ -1,7 +1,8 @@
 """Config parsing and the theorem-sweep member loop."""
 
+import json
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -59,9 +60,23 @@ class TestSweepLoop:
             run_theorem_sweep(ExperimentConfig(h_list=self.H_LIST, threads=k,
                                                out_dir=str(tmp_path / f"t{k}")))
             for k in (1, 2)]
-        for s in summaries:
+        for k, s in zip((1, 2), summaries):
             assert [m.h for m in s.members] == [0.1, 0.08, 0.025]
             assert s.failures == [{"h": 0.05, "error": "ValueError: stub failure"}]
+            # reference: the summary payload spelled out field by field
+            payload = {
+                "schema_version": s.schema_version,
+                "config": s.config,
+                "members": [asdict(m) for m in s.members],
+                "failures": s.failures,
+                "fitted_remainder_order": s.fitted_remainder_order,
+                "fitted_remainder_stderr": s.fitted_remainder_stderr,
+                "fitted_residual_c_order": s.fitted_residual_c_order,
+                "fitted_residual_c_stderr": s.fitted_residual_c_stderr,
+                "wall_seconds": s.wall_seconds,
+            }
+            written = (tmp_path / f"t{k}" / "summary.json").read_text(encoding="utf-8")
+            assert written == json.dumps(payload, indent=2, sort_keys=True)
         assert summaries[0].members == summaries[1].members
         assert summaries[0].fitted_remainder_order == pytest.approx(1.5, rel=1e-12)
 

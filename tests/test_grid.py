@@ -6,7 +6,7 @@ import pytest
 from bolab import (ConfigurationError, Field, Grid, UsageError, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
                    l2_norm, local_sup_norm, localizer, sobolev_norm,
-                   translate, weighted_l2_norm)
+                   translate)
 from bolab.grid import LocalizerSpec, cell_l2_profile
 
 from conftest import random_band_limited
@@ -32,10 +32,13 @@ class TestMakeGrid:
 
     def test_wavenumber_antisymmetry(self):
         g = Grid(64, 16.0)
-        k = g.wavenumbers
-        # all modes except DC and Nyquist pair up as +-
-        assert np.allclose(np.sort(k[1 : 32]), np.sort(-k[33:]))
-        assert k[0] == 0.0
+        k = g.rfft_wavenumbers
+        full = 2 * np.pi * np.fft.fftfreq(64, d=g.spacing)
+        # the half axis is the full table's modes 0..N/2; all modes except
+        # DC and Nyquist pair up as +-
+        assert k[0] == 0.0 and k[-1] == pytest.approx(np.pi / g.spacing, rel=1e-15)
+        assert np.array_equal(k[:32], full[:32])
+        assert np.allclose(np.sort(k[1:32]), np.sort(-full[33:]))
 
     def test_spacing_times_n_is_length(self):
         g = Grid(512, 37.5)
@@ -146,7 +149,7 @@ class TestRealness:
         # residue stays at rounding level and matches the rfft-based operator
         rng = np.random.default_rng(17)
         f = random_band_limited(grid_small, rng)
-        k_full = grid_small.wavenumbers
+        k_full = 2 * np.pi * np.fft.fftfreq(grid_small.n_points, d=grid_small.spacing)
         sym = np.where(k_full > 0, 1j, np.where(k_full < 0, -1j, 0))
         full = np.fft.ifft(sym * np.fft.fft(f.values))
         assert np.max(np.abs(full.imag)) <= 1e-12 * max(np.max(np.abs(f.values)), 1e-300)
@@ -218,24 +221,6 @@ class TestLocalSupNorm:
         f = random_band_limited(grid_small, rng)
         _, norms = cell_l2_profile(f)
         assert np.sqrt(np.sum(norms**2)) == pytest.approx(l2_norm(f), rel=1e-10)
-
-
-class TestWeightedNorm:
-    def test_power_zero_is_l2(self, grid_default):
-        from bolab.soliton import profile
-        q = Field(grid_default, profile(grid_default.nodes))
-        assert weighted_l2_norm(q, 0.0) ** 2 == pytest.approx(8 * np.pi, rel=1e-6)
-
-    def test_zero_field(self, grid_small):
-        assert weighted_l2_norm(Field.zeros(grid_small), -1.0) == 0.0
-
-    def test_unit_field_arctangent_mass(self, grid_default, grid_wide):
-        ones_d = Field(grid_default, np.ones(grid_default.n_points))
-        ones_w = Field(grid_wide, np.ones(grid_wide.n_points))
-        vals = [weighted_l2_norm(ones_d, -1.0), weighted_l2_norm(ones_w, -1.0)]
-        # approaches sqrt(pi) from below as the domain grows
-        assert abs(vals[1] - np.sqrt(np.pi)) < abs(vals[0] - np.sqrt(np.pi))
-        assert vals[1] == pytest.approx(np.sqrt(np.pi), rel=1e-3)
 
 
 class TestLocalizer:

@@ -7,8 +7,8 @@ from bolab import (ConfigurationError, Field, Grid, SolitonParams,
                    closed_form_table, eigenfunction_field, hilbert, inner,
                    l2_norm, soliton_field, soliton_residual)
 from bolab.modulation import _constraint_fields
-from bolab.soliton import (periodic_profile_hilbert, profile, profile_derivative,
-                           scaled_profile)
+from bolab.soliton import (periodic_profile, periodic_profile_hilbert, profile,
+                           profile_derivative, scaled_profile)
 
 
 def _family_derivatives(grid, p):
@@ -71,10 +71,11 @@ class TestProfileEquation:
     def test_residual_translated_scaled(self, grid_default):
         assert soliton_residual(SolitonParams(5.0, 2.0), grid_default) <= 1e-3
 
-    def test_residual_improves_with_domain(self, grid_default, grid_wide):
-        r1 = soliton_residual(SolitonParams(0.0, 1.0), grid_default)
-        r2 = soliton_residual(SolitonParams(0.0, 1.0), grid_wide)
-        assert r1 / r2 >= 2.0
+    @pytest.mark.parametrize("n, length", [(2048, 256.0), (4096, 512.0), (8192, 1024.0)])
+    def test_residual_at_rounding_level_on_every_box(self, n, length):
+        # the periodised soliton solves the box equation exactly: no far-field
+        # defect from the line profile's 4/y^2 tail (4e-3 at L = 256)
+        assert soliton_residual(SolitonParams(0.0, 1.0), Grid(n, length)) <= 1e-8
 
     def test_wrong_speed_leaves_exact_defect(self, grid_default):
         # testing c=2 against the c=1 profile leaves exactly one profile copy
@@ -116,6 +117,17 @@ class TestPointwiseIdentities:
         y = np.linspace(-20.0, 20.0, 81)
         got = periodic_profile_hilbert(y, 1e6)
         np.testing.assert_allclose(got, -y * profile(y), rtol=0.0, atol=1e-9)
+
+    def test_periodic_profile_is_the_image_sum(self):
+        # the truncated sum over |n| <= 2000 misses a tail of about
+        # 8/(2000 L^2) = 9.8e-7 at L = 64
+        y = np.linspace(-32.0, 32.0, 65)
+        length = 64.0
+        images = sum(profile(y + n * length) for n in range(-2000, 2001))
+        np.testing.assert_allclose(periodic_profile(y, length), images,
+                                   rtol=0.0, atol=1.2e-6)
+        np.testing.assert_allclose(periodic_profile(y, 1e6), profile(y),
+                                   rtol=0.0, atol=1e-9)
 
 
 class TestEigenfunctions:

@@ -65,3 +65,56 @@ def test_transforms_call_scipy_fft_only(path):
     # numpy.fft and scipy.fft each keep a plan cache; a numpy.fft
     # transform next to the scipy.fft ones would bring the second back
     assert _numpy_fft_transforms(path.read_text(encoding="utf-8")) == []
+
+
+# Public names that no module of the package (other than __init__) or of
+# perfbench references, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    **dict.fromkeys(
+        ("constrained_min_rayleigh", "parity_restriction", "angle_lemma_bound",
+         "commutator_probe", "commutator_matrix", "quadratic_form"),
+        "a paper lemma behind the virial estimate, tested and waiting for a "
+        "CLI gate (ROADMAP item 5)"),
+    "read_checkpoint": "the reader of the final.bosl that `bolab evolve` writes",
+}
+BENCH_SOURCES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+
+
+def _referenced_names(sources) -> set:
+    """Every name, attribute and from-import name that `sources` mention."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+    return names
+
+
+def _unreferenced(defining, referencing) -> set:
+    """Public top-level functions and classes of `defining` that no
+    source in `referencing` mentions."""
+    refs = _referenced_names(referencing)
+    return {node.name for source in defining for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in refs}
+
+
+def test_unreferenced_scanner():
+    defining = ["def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\n"
+                "def k():\n    return g"]
+    referencing = ["f()\nfrom m import C\nm.k"]
+    assert _unreferenced(defining, referencing) == {"g"}
+
+
+def test_every_public_name_has_a_caller():
+    # code that no command, workload or paper claim uses is deleted; a
+    # caller only in tests/ does not count
+    defining = [p.read_text(encoding="utf-8") for p in SOURCES]
+    referencing = [p.read_text(encoding="utf-8") for p in SOURCES + BENCH_SOURCES
+                   if p.name != "__init__.py"]
+    assert BENCH_SOURCES
+    assert _unreferenced(defining, referencing) == set(UNREFERENCED_ALLOWED)

@@ -92,26 +92,12 @@ class TestShapeDerivatives:
             assert pot.shape_derivatives(s) == (0.0, 0.0, 0.0, 0.0)
         assert pot.shape_derivatives(0.0)[0] == pytest.approx(0.2 * math.exp(-1.0))
 
-    def test_zero_shape(self):
-        pot = PotentialSpec.zero()
-        got = pot.shape_derivatives(0.3)
-        assert got == (0.0, 0.0, 0.0, 0.0) and all(type(v) is float for v in got)
-        arr = pot.shape_derivatives(np.linspace(-1, 1, 5))
-        assert len(arr) == 4 and all(np.array_equal(v, np.zeros(5)) for v in arr)
-
-    def test_custom_scalar_returns_floats(self):
-        x = np.linspace(-2.0, 2.0, 9)
-        pot = PotentialSpec.custom(0.1, x, x ** 3)
-        got = pot.shape_derivatives(0.5)
-        assert all(type(v) is float for v in got)
-        np.testing.assert_allclose(got, [0.125, 0.75, 3.0, 6.0], rtol=1e-12)
-
     def test_specs_compare_by_key(self):
         # the evolution layer caches its tables per potential
         assert PotentialSpec.bump(0.1) == PotentialSpec.bump(0.1)
         assert hash(PotentialSpec.bump(0.1)) == hash(PotentialSpec.bump(0.1))
         assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, amplitude=0.3)
-        assert PotentialSpec.bump(0.1) != PotentialSpec.zero(0.1)
+        assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, width=2.0)
         assert PotentialSpec.bump(0.1) != "bump"
 
     def test_shape_key_is_key_without_h(self):
@@ -120,11 +106,6 @@ class TestShapeDerivatives:
         assert PotentialSpec.bump(0.1).shape_key() == PotentialSpec.bump(0.05).shape_key()
         assert (PotentialSpec.bump(0.1).shape_key()
                 != PotentialSpec.bump(0.1, amplitude=0.3).shape_key())
-        x = np.linspace(-2.0, 2.0, 9)
-        a, b = PotentialSpec.custom(0.1, x, x ** 3), PotentialSpec.custom(0.2, x, x ** 3)
-        assert a.shape_key() == b.shape_key() and a.key() != b.key()
-        assert a.key() == ("custom", 0.1, *a.shape_key()[1:])
-        assert a.shape_key() != PotentialSpec.custom(0.1, x, x ** 2).shape_key()
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +149,7 @@ class TestIntegrators:
         assert abs(tr.scales[-1] - 0.5) <= 1e-9
 
     def test_zero_potential_is_free_translation(self):
-        tr = integrate_exact(PotentialSpec.zero(0.1), 1.0)
+        tr = integrate_exact(PotentialSpec.bump(0.1, amplitude=0.0), 1.0)
         np.testing.assert_allclose(tr.positions, tr.times, rtol=0.0, atol=1e-12)
         assert np.all(tr.scales == 1.0)
 
