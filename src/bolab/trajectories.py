@@ -14,9 +14,15 @@ Integration of the reference flow stops at the first slow time where C
 reaches 1/2 or 2 (located by bisection); "never" is encoded as an
 explicit None, not a large float.
 
-The reference flow does not involve h: `gronwall_sweep` integrates it
-once per distinct shape W and compares it with the corrected flow of
-every h that has that shape.
+Each integration runs once per process: `_integrated`, one bounded
+``functools.lru_cache``, owns the results and keys the reference flow
+by ``shape_key()`` (it does not involve h), ``s_end`` and ``ds``, and
+the corrected flow by ``key()``, ``s_end``, ``ds`` and y0.  Its arrays
+are read-only and shared; every public call wraps them in a fresh
+TrajectoryState with the caller's own h and stop time.  So
+`gronwall_sweep` integrates the reference flow once per distinct shape
+W, and `bolab trajectories` does not integrate again, in its sweep,
+the two h = --h flows it has just written.
 
 The stepper carries (A, C) as a pair of Python floats and calls
 ``PotentialSpec.shape_derivatives`` with a scalar, so every right-hand
@@ -28,7 +34,7 @@ numpy arrays as the stepper's reference.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -138,12 +144,47 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool, y0):
     return np.array(times), arr[:, 0], arr[:, 1], stop
 
 
+def _check_span(s_end, ds):
+    if not (math.isfinite(s_end) and s_end > 0):
+        raise ConfigurationError(f"s_end must be finite and positive, got {s_end}")
+    if not (math.isfinite(ds) and ds > 0):
+        raise ConfigurationError(f"ds must be finite and positive, got {ds}")
+
+
+@dataclass(frozen=True)
+class _Flow:
+    """One integration request, hashed and compared by what the flow depends on.
+
+    ``key`` is ``shape_key()`` for the reference flow, which does not
+    involve h, and ``key()`` for the corrected flow; ``pot`` only
+    supplies W to the right-hand side.
+    """
+    kind: str
+    key: tuple
+    s_end: float
+    ds: float
+    y0: tuple
+    pot: PotentialSpec = field(compare=False)
+
+
+@functools.lru_cache(maxsize=16)
+def _integrated(flow: _Flow):
+    """Read-only (times, A, C) and the stop time of one flow."""
+    if flow.kind == "reference":
+        rhs, detect_stop = _reference_rhs(flow.pot), True
+    else:
+        rhs, detect_stop = _exact_rhs(flow.pot), False
+    times, pos, sc, stop = _integrate(rhs, flow.s_end, flow.ds, detect_stop, flow.y0)
+    for v in (times, pos, sc):
+        v.setflags(write=False)
+    return times, pos, sc, stop
+
+
 def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
     """Reference flow from (A, C)(0) = (0, 1); stops early if C hits 1/2 or 2."""
-    if not (ds > 0):
-        raise ConfigurationError(f"ds must be positive, got {ds}")
-    times, pos, sc, stop = _integrate(_reference_rhs(pot), s_end, ds,
-                                      detect_stop=True, y0=(0.0, 1.0))
+    _check_span(s_end, ds)
+    times, pos, sc, stop = _integrated(_Flow("reference", pot.shape_key(), float(s_end),
+                                             float(ds), (0.0, 1.0), pot))
     return TrajectoryState("slow_s", "reference", times, pos, sc,
                            stop_time=stop, h=pot.h)
 
@@ -151,10 +192,9 @@ def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> T
 def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
                     y0=(0.0, 1.0)) -> TrajectoryState:
     """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a)."""
-    if not (ds > 0):
-        raise ConfigurationError(f"ds must be positive, got {ds}")
-    times, pos, sc, stop = _integrate(_exact_rhs(pot), s_end, ds,
-                                      detect_stop=False, y0=y0)
+    _check_span(s_end, ds)
+    times, pos, sc, _ = _integrated(_Flow("exact", pot.key(), float(s_end), float(ds),
+                                          (float(y0[0]), float(y0[1])), pot))
     return TrajectoryState("slow_s", "exact", times, pos, sc, stop_time=None, h=pot.h)
 
 
@@ -207,20 +247,18 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
 
     pot_factory(h) must return the potential at slow scale h.  The fitted
     order is the log-log slope of sup|C_exact - C_reference| against h.
-    The reference flow does not involve h, so it is integrated once per
-    distinct shape (`PotentialSpec.shape_key`) and shared by every h
-    with that shape.
+    The reference flow does not involve h: the integration cache (see the
+    module docstring) runs it once per distinct shape
+    (`PotentialSpec.shape_key`) and every h with that shape shares its
+    read-only arrays.
     """
     if len(h_values) < 2:
         raise UsageError("sweep needs at least two h values")
     per_h = []
-    refs = {}
     for h in h_values:
         pot = pot_factory(h)
-        key = pot.shape_key()
-        if key not in refs:
-            refs[key] = integrate_reference(pot, s_end, ds)
-        rep = gronwall_compare(refs[key], integrate_exact(pot, s_end, ds))
+        rep = gronwall_compare(integrate_reference(pot, s_end, ds),
+                               integrate_exact(pot, s_end, ds))
         per_h.append((float(h), rep.sup_dev_position, rep.sup_dev_scale))
     hs = np.array([p[0] for p in per_h])
     dev_c = np.array([p[2] for p in per_h])
@@ -234,12 +272,15 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
 
 
 def write_trajectory_csv(path, tr: TrajectoryState) -> None:
-    """Trajectory CSV with frame-dependent headers: s,A,C or t,a,c plus kind, frame."""
-    head = ["s", "A", "C"] if tr.frame == "slow_s" else ["t", "a", "c"]
+    """Trajectory CSV with frame-dependent headers: s,A,C or t,a,c plus kind, frame.
+
+    Cells are float reprs and lines end in \\r\\n, the bytes ``csv.writer``
+    gives these rows (no cell needs quoting); the file is written in one call.
+    """
+    head = "s,A,C" if tr.frame == "slow_s" else "t,a,c"
+    tail = f",{tr.kind},{tr.frame}\r\n"
+    cols = (np.asarray(v, dtype=float).tolist()
+            for v in (tr.times, tr.positions, tr.scales))
+    rows = "".join(f"{t!r},{a!r},{c!r}{tail}" for t, a, c in zip(*cols))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(head + ["kind", "frame"])
-        cols = (np.asarray(v, dtype=float).tolist()
-                for v in (tr.times, tr.positions, tr.scales))
-        for t, a, c in zip(*cols):
-            w.writerow([repr(t), repr(a), repr(c), tr.kind, tr.frame])
+        fh.write(f"{head},kind,frame\r\n{rows}")

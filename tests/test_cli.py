@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from bolab.cli import main
 
 
@@ -54,6 +56,12 @@ def test_spectrum_defaults_pass(tmp_path, capsys):
     assert report["schema_version"] == 1
     assert len(report["discrete_eigenvalues"]) == 3
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s_end", ["nan", "-1", "0", "inf"])
+def test_trajectories_invalid_s_end_exits_2(tmp_path, capsys, s_end):
+    assert main(["--out", str(tmp_path), "trajectories", "--s-end", s_end]) == 2
+    assert "error: s_end must be finite and positive" in capsys.readouterr().err
 
 
 def test_invalid_config_exits_2(tmp_path, capsys):

@@ -1,6 +1,10 @@
 """Potential shapes on the scalar path and the parameter-ODE integrators."""
 
+import csv
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ import pytest
 from bolab import (ExperimentConfig, PotentialSpec, gronwall_compare,
                    gronwall_sweep, integrate_exact, integrate_reference,
                    trajectories)
+from bolab.errors import ConfigurationError
 from bolab.experiments import _horizon
 
 
@@ -58,16 +63,43 @@ def _array_integrate(rhs, s_end, ds, y0=(0.0, 1.0)):
     return np.array(times), arr[:, 0], arr[:, 1]
 
 
+def _csv_writer_csv(path, tr):
+    """The trajectory CSV through ``csv.writer``: the one-write writer's reference."""
+    head = ["s", "A", "C"] if tr.frame == "slow_s" else ["t", "a", "c"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(head + ["kind", "frame"])
+        cols = (np.asarray(v, dtype=float).tolist()
+                for v in (tr.times, tr.positions, tr.scales))
+        for t, a, c in zip(*cols):
+            w.writerow([repr(t), repr(a), repr(c), tr.kind, tr.frame])
+
+
 # ---------------------------------------------------------------------------
 # shape derivatives: scalar path against the array path
 # ---------------------------------------------------------------------------
+
+def _pow_chain(beta, w, s):
+    """(W, W', W'', W''') of the bump by the ``**`` formula, on Python floats."""
+    t = s / w
+    if not abs(t) < 1.0 - 1e-12:
+        return (0.0, 0.0, 0.0, 0.0)
+    r = 1.0 - t * t
+    phi = math.exp(-1.0 / r)
+    g1 = -2.0 * t / r ** 2
+    g2 = -2.0 / r ** 2 - 8.0 * t ** 2 / r ** 3
+    g3 = -24.0 * t / r ** 3 - 48.0 * t ** 3 / r ** 4
+    return (beta * phi,
+            beta * phi * g1 / w,
+            beta * phi * (g2 + g1 ** 2) / w ** 2,
+            beta * phi * (g3 + 3.0 * g1 * g2 + g1 ** 3) / w ** 3)
+
 
 class TestShapeDerivatives:
     WIDTH = 1.3
     EDGE = 1.0 - 1e-12
 
-    def _points(self):
-        w = self.WIDTH
+    def _points(self, w=WIDTH):
         inner_t = np.linspace(-0.999, 0.999, 41)
         near = [self.EDGE * (1 - 1e-15), -self.EDGE * (1 - 1e-15), 0.99999]
         edge = [1.0, -1.0, self.EDGE, 1.0 + 1e-9, 1.2, -3.0]
@@ -84,7 +116,21 @@ class TestShapeDerivatives:
             assert type(got) is tuple and len(got) == 4
             assert all(type(v) is float for v in got)
             want = [float(v[j]) for v in arrays]
-            np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+            # one chain on both paths: they differ by the ulps of exp only
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("width", [1.0, WIDTH])
+    def test_chain_matches_power_formula(self, width):
+        # rtol fixed before measuring: the product chain rounds each of its
+        # ~12 operations differently from the ** chain, and the sums in W''
+        # and W''' cancel near their zeros on the 41-point inner grid
+        pot = PotentialSpec.bump(0.1, amplitude=0.7, width=width)
+        pts = self._points(width)
+        want = np.array([_pow_chain(0.7, width, s) for s in pts])
+        scalar = np.array([pot.shape_derivatives(s) for s in pts])
+        array = np.array(pot.shape_derivatives(np.array(pts))).T
+        np.testing.assert_allclose(scalar, want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(array, want, rtol=1e-10, atol=0.0)
 
     def test_zero_outside_support(self):
         pot = PotentialSpec.bump(0.1, width=self.WIDTH)
@@ -174,12 +220,14 @@ class TestIntegrators:
     ])
     def test_sweep_integrates_reference_once_per_shape(self, monkeypatch,
                                                        factory, expected):
+        # counts the reference integrations that run, not the public calls
         calls = []
-        real = trajectories.integrate_reference
-        def counting(pot, s_end, ds=1e-3):
+        real = trajectories._reference_rhs
+        def counting(pot):
             calls.append(pot.h)
-            return real(pot, s_end, ds)
-        monkeypatch.setattr(trajectories, "integrate_reference", counting)
+            return real(pot)
+        monkeypatch.setattr(trajectories, "_reference_rhs", counting)
+        trajectories._integrated.cache_clear()
         gronwall_sweep(factory, (0.2, 0.1, 0.05), 0.5)
         assert calls == expected
 
@@ -191,6 +239,136 @@ class TestIntegrators:
         assert lines[1:] == [
             f"{float(t)!r},{float(a)!r},{float(c)!r},exact,slow_s"
             for t, a, c in zip(tr.times, tr.positions, tr.scales)]
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        ex = integrate_exact(PotentialSpec.bump(0.1), 0.05)
+        stopped = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
+        assert stopped.stop_time is not None
+        for k, tr in enumerate((ex, trajectories.convert_frame(ex, 0.1), stopped)):
+            got, want = tmp_path / f"got{k}.csv", tmp_path / f"want{k}.csv"
+            trajectories.write_trajectory_csv(got, tr)
+            _csv_writer_csv(want, tr)
+            assert got.read_bytes() == want.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# integration arguments and the integration cache
+# ---------------------------------------------------------------------------
+
+def _cache_info():
+    return trajectories._integrated.cache_info()
+
+
+def _arrays(tr):
+    return tr.times, tr.positions, tr.scales
+
+
+def _same_bits(got, want):
+    return all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+class TestArguments:
+    @pytest.mark.parametrize("integrate", [integrate_reference, integrate_exact])
+    @pytest.mark.parametrize("s_end, ds", [
+        (-1.0, 1e-3), (0.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+        (-math.inf, 1e-3), (1.0, math.inf), (1.0, math.nan), (1.0, 0.0),
+        (1.0, -1e-3)])
+    def test_rejects_invalid_span(self, integrate, s_end, ds):
+        trajectories._integrated.cache_clear()
+        with pytest.raises(ConfigurationError):
+            integrate(PotentialSpec.bump(0.1), s_end, ds)
+        # rejected before the cache lookup
+        assert _cache_info().hits == _cache_info().misses == 0
+
+
+class TestIntegrationCache:
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        trajectories._integrated.cache_clear()
+
+    def test_cached_run_equals_uncached_run(self):
+        stops = PotentialSpec.bump(0.1, amplitude=1.2)    # C hits 1/2 at s ~ 1.525
+        pot = PotentialSpec.bump(0.1)
+        y0 = (0.05, 1.0107)
+        cases = [
+            (lambda: integrate_reference(stops, 4.0),
+             (trajectories._reference_rhs(stops), 4.0, 1e-3, True, (0.0, 1.0))),
+            (lambda: integrate_exact(pot, 2.0, y0=y0),
+             (trajectories._exact_rhs(pot), 2.0, 1e-3, False, y0)),
+        ]
+        for call, args in cases:
+            *want, stop = trajectories._integrate(*args)
+            for tr in (call(), call()):       # a miss, then a hit
+                assert _same_bits(_arrays(tr), want)
+                assert tr.stop_time == stop
+        assert _cache_info().hits == len(cases)
+
+    def test_callers_get_their_own_h_and_stop_time(self):
+        a = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
+        b = integrate_reference(PotentialSpec.bump(0.05, amplitude=1.2), 4.0)
+        assert _cache_info().misses == 1          # h is not an input of this flow
+        assert a is not b and a.times is b.times
+        assert (a.h, b.h) == (0.1, 0.05)
+        stop = a.stop_time
+        a.stop_time, a.h = None, 0.3
+        c = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
+        assert (b.stop_time, c.stop_time, c.h) == (stop, stop, 0.1)
+
+    def test_requests_that_differ_get_their_own_entries(self):
+        pot = PotentialSpec.bump(0.1)
+        requests = [
+            lambda: integrate_reference(pot, 0.5),
+            lambda: integrate_reference(PotentialSpec.bump(0.1, amplitude=0.3), 0.5),
+            lambda: integrate_reference(PotentialSpec.bump(0.1, width=2.0), 0.5),
+            lambda: integrate_reference(pot, 0.6),
+            lambda: integrate_reference(pot, 0.5, 2e-3),
+            lambda: integrate_exact(pot, 0.5),
+            lambda: integrate_exact(PotentialSpec.bump(0.05), 0.5),
+            lambda: integrate_exact(pot, 0.6),
+            lambda: integrate_exact(pot, 0.5, 2e-3),
+            lambda: integrate_exact(pot, 0.5, y0=(0.0, 1.01)),
+        ]
+        first = [_arrays(call()) for call in requests]
+        assert _cache_info().currsize == len(requests)
+        assert _cache_info().hits == 0
+        for call, want in zip(requests, first):
+            assert all(g is w for g, w in zip(_arrays(call()), want))
+        assert _cache_info().hits == len(requests)
+
+    def test_returned_arrays_are_read_only(self):
+        pot = PotentialSpec.bump(0.1)
+        for tr in (integrate_reference(pot, 0.5), integrate_exact(pot, 0.5)):
+            for v in _arrays(tr):
+                with pytest.raises(ValueError):
+                    v[0] = 1.0
+
+    def test_threads_get_the_serial_results(self):
+        # more threads than cores, with frequent thread switches, all asking
+        # for the same few flows at once
+        requests = [(integrate, PotentialSpec.bump(h, amplitude=amp))
+                    for integrate in (integrate_reference, integrate_exact)
+                    for h in (0.2, 0.1) for amp in (0.2, 0.4)]
+
+        def run(request):
+            integrate, pot = request
+            tr = integrate(pot, 1.0)
+            return (*_arrays(tr), tr.h, tr.stop_time)
+
+        serial = [run(r) for r in requests]
+        trajectories._integrated.cache_clear()
+        workers = (os.cpu_count() or 1) + 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                futures = [pool.submit(run, r) for r in requests * workers]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial * workers):
+            assert _same_bits(got[:3], want[:3]) and got[3:] == want[3:]
+        # two reference shapes, four corrected (shape, h) pairs
+        assert _cache_info().currsize == 6
 
 
 # ---------------------------------------------------------------------------
