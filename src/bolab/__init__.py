@@ -6,8 +6,8 @@ Submodules, roughly bottom-up:
     grid          periodic grid, multiplier operators, norms
     soliton       the soliton family, eigenfunctions, exact integral table
     potential     the slowly varying bump potential V(x) = W(hx)
-    operators     linearized operators, dual variable, commutator probe
-    spectral      dense spectra and constrained coercivity
+    operators     the symmetric operators around the soliton, commutator probe
+    spectral      symmetric dense matrices, spectra, constrained coercivity
     evolution     perturbed / free / linearized time integration
     modulation    soliton-parameter extraction and tracking
     trajectories  reference and corrected parameter ODE systems
@@ -28,7 +28,7 @@ from .grid import (Field, Grid, LocalizerSpec, cell_l2_profile, derivative,
 from .soliton import (ClosedFormTable, SolitonParams, closed_form_table,
                       eigenfunction_field, soliton_field, soliton_residual)
 from .potential import PotentialSpec
-from .operators import (CommutatorProbeResult, OperatorSpec, apply_operator,
+from .operators import (CommutatorProbeResult, SymmetricOperator,
                         commutator_probe, quadratic_form)
 from .spectral import (DenseOperator, EigenReport, angle_lemma_bound,
                        constrained_min_rayleigh, discretize,

@@ -31,7 +31,7 @@ from .evolution import EvolutionState, evolve_pbo, invariants, write_checkpoint
 from .experiments import ExperimentConfig, load_config, run_theorem_sweep
 from .grid import Field, Grid, hilbert, inner, l2_norm
 from .modulation import write_track_csv, track_parameters
-from .operators import OperatorSpec
+from .operators import SymmetricOperator
 from .potential import PotentialSpec
 from .soliton import (SolitonParams, closed_form_table,
                       periodic_profile_hilbert, profile, profile_derivative,
@@ -81,7 +81,7 @@ def cmd_identities(args, cfg) -> int:
 
 def cmd_spectrum(args, cfg) -> int:
     grid = Grid(args.n, args.length)
-    op = discretize(OperatorSpec("linearized"), grid).symmetrize()
+    op = discretize(SymmetricOperator.linearized(grid))
     report = spectrum_below_continuum(op, threshold=1.0, margin=args.margin)
     payload = {
         "schema_version": 1,

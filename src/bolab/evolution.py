@@ -12,8 +12,12 @@ so that exact stationary states stay stationary to the quadrature floor.
 Both flows run through one driver, ``_evolve``.  It transforms the
 initial field once and keeps the ETDRK4 state as its rfft spectrum from
 the first step to the last; a snapshot is one irfft into a ``Field``
-(time t0 + k*dt after k steps), and the finiteness check after every
-step and the pBO blow-up guard at each snapshot read the spectrum.
+(time t0 + k*dt after k steps).  Three guards stop a run with
+``EvolutionError``: the finiteness check after every step, and, for
+pBO, at each snapshot, the blow-up guard (H^{1/2} norm above
+``BLOWUP_FACTOR`` = 10 times its initial value) and the seam guard (the
+field maximum within L/4 of the periodic seam).  The first two read the
+spectrum.
 Each of the four stages of a step makes two FFT calls, so a step makes
 eight:
 
@@ -46,8 +50,10 @@ The coefficient tables are read-only and shared: ``functools.lru_cache``
 holds them per (grid, dt) and, for pBO, per potential (``PotentialSpec``
 compares by its key).  The stage rows, the right-hand side and its work
 buffers belong to one ``evolve_*`` call, so concurrent runs share no
-writable state.  The linearized flow reads its symbol, weight and
-projector from `operators`, the one definition of the operator family.
+writable state.  The linearized flow reads its symbol and weight from
+``operators.SymmetricOperator.linearized`` and its projector from
+``operators.projector_parts``, the one definition of the operator
+family; every table takes the Nyquist rule of ``grid._real_nyquist``.
 """
 
 from __future__ import annotations
@@ -60,10 +66,12 @@ import numpy as np
 import scipy.fft
 
 from .errors import ConfigurationError, EvolutionError, UsageError
-from .grid import (Field, Grid, _spectrum_sobolev_norm, derivative, hilbert, inner,
-                   integral, sobolev_norm)
+from .grid import (Field, Grid, _real_nyquist, _spectrum_sobolev_norm, derivative,
+                   hilbert, inner, integral, sobolev_norm)
 from .potential import PotentialSpec
-from .operators import LINEARIZED, projector_parts, symmetric_parts
+from .operators import SymmetricOperator, projector_parts
+
+BLOWUP_FACTOR = 10.0
 
 
 @dataclass
@@ -151,13 +159,6 @@ class _Etdrk4Tables:
         np.add(out, tmp, out=out)
 
 
-def _odd_derivative_symbol(grid: Grid) -> np.ndarray:
-    """i*xi on the rfft half-axis, zeroed on the Nyquist mode."""
-    dxi = 1j * grid.rfft_wavenumbers
-    dxi[-1] = 0.0
-    return dxi
-
-
 @functools.lru_cache(maxsize=16)
 def _pbo_tables(grid: Grid, dt: float, pot: PotentialSpec | None):
     """(tables, flux multiplier, V samples or None) of the pBO flow.
@@ -166,9 +167,8 @@ def _pbo_tables(grid: Grid, dt: float, pot: PotentialSpec | None):
     the derivative of the whole flux u (V - u/2).
     """
     xi = grid.rfft_wavenumbers
-    symbol = 1j * xi * np.abs(xi)
-    symbol[-1] = 0.0
-    dflux = np.where(xi <= (2.0 / 3.0) * xi[-1], _odd_derivative_symbol(grid), 0.0)
+    symbol = _real_nyquist(1j * xi * np.abs(xi))
+    dflux = np.where(xi <= (2.0 / 3.0) * xi[-1], 1j * xi, 0.0)
     v = pot.sampled_potential(grid.nodes) if pot is not None else None
     _read_only(dflux, v)
     return _Etdrk4Tables(symbol, dt), dflux, v
@@ -203,14 +203,13 @@ def _linearized_tables(grid: Grid, dt: float):
     integrated symbol i*xi*(c0 + k|xi|) and the weight of -d_y(w v); the
     projector's parts come from `operators.projector_parts`.
     """
-    c0, k, w = symmetric_parts(LINEARIZED, grid)
+    op = SymmetricOperator.linearized(grid)
     xi = grid.rfft_wavenumbers
-    symbol = 1j * xi * (c0 + k * np.abs(xi))
-    symbol[-1] = 0.0
-    dxi = _odd_derivative_symbol(grid)
+    symbol = _real_nyquist(1j * xi * (op.c0 + op.k * np.abs(xi)))
+    dxi = _real_nyquist(1j * xi)
     lqpp, qp, norm_sq = projector_parts(grid)
     qp_hat = scipy.fft.rfft(qp)
-    neg_w = -w
+    neg_w = -op.w
     _read_only(dxi, neg_w, qp_hat)
     return _Etdrk4Tables(symbol, dt), dxi, neg_w, qp_hat, lqpp, norm_sq
 
@@ -331,28 +330,26 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
 
 
 def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
-               snapshot_stride: int = 1, blowup_factor: float = 10.0,
-               seam_guard: bool = True) -> EvolveResult:
+               snapshot_stride: int = 1) -> EvolveResult:
     """ETDRK4 run of u_t = d_x(-H u_x + V u - u^2/2) to t_end, with
     snapshots every `snapshot_stride` steps.
 
-    Aborts with EvolutionError if the H^{1/2} norm exceeds blowup_factor
-    times its initial value, or (seam_guard) if the field maximum drifts
-    within L/4 of the periodic seam.
+    Aborts with EvolutionError at a snapshot whose H^{1/2} norm exceeds
+    BLOWUP_FACTOR times its initial value (the blow-up guard), or whose
+    field maximum lies within L/4 of the periodic seam (the seam guard).
     """
     n_steps = _step_count(t_end, dt)
     grid = initial.field.grid
-    guard_norm = blowup_factor * max(sobolev_norm(initial.field, 0.5), 1e-12)
+    guard_norm = BLOWUP_FACTOR * max(sobolev_norm(initial.field, 0.5), 1e-12)
     quarter = grid.domain_length / 4.0
 
     def guard(state, uh):
         if _spectrum_sobolev_norm(uh, grid, 0.5) > guard_norm:
             raise EvolutionError(f"blow-up guard tripped at t = {state.time:.6g}")
-        if seam_guard:
-            peak = grid.nodes[int(np.argmax(state.field.values))]
-            if abs(peak) > quarter:
-                raise EvolutionError(
-                    f"seam guard tripped at t = {state.time:.6g}: peak at {peak:.3g}")
+        peak = grid.nodes[int(np.argmax(state.field.values))]
+        if abs(peak) > quarter:
+            raise EvolutionError(
+                f"seam guard tripped at t = {state.time:.6g}: peak at {peak:.3g}")
 
     return _evolve(initial, n_steps, dt, snapshot_stride,
                    _pbo_flow(grid, dt, initial.potential), guard)

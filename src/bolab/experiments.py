@@ -31,7 +31,7 @@ from .modulation import ParameterTrack, track_parameters, write_track_csv
 from .potential import PotentialSpec
 from .soliton import (SolitonParams, eigenfunction_field,
                       profile_second_derivative, soliton_field)
-from .trajectories import (convert_frame, integrate_exact,
+from .trajectories import (convert_frame, exact_rhs, integrate_exact,
                            integrate_reference, write_trajectory_csv)
 
 SCHEMA_VERSION = 1
@@ -144,10 +144,11 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
     """Residuals of the corrected parameter ODEs along a measured track.
 
     Fourth-order central differences supply (da/dt, dc/dt); the residuals
-    subtract the corrected right-hand sides
+    subtract the corrected right-hand side (F_A, F_C) of
+    `trajectories.exact_rhs`, taken to the fast frame a = A/h, t = s/h:
 
-        a' = c - W(ha) + (h^2/2) W''(ha)/c^2
-        c' = h c W'(ha) + (h^3/2) W'''(ha)/c.
+        a' = F_A(ha, c) = c - W(ha) + (h^2/2) W''(ha)/c^2
+        c' = h F_C(ha, c) = h c W'(ha) + (h^3/2) W'''(ha)/c.
     """
     if len(track) < 5:
         raise UsageError("need at least 5 track samples for 4th-order differences")
@@ -161,11 +162,10 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
     a, c = track.a, track.c
     adot = _central_derivative_4(a, dt)
     cdot = _central_derivative_4(c, dt)
-    ai, ci = a[2:-2], c[2:-2]
     h = pot.h
-    w, w1, w2, w3 = pot.shape_derivatives(h * ai)
-    res_a = adot - ci + w - 0.5 * h * h * w2 / ci ** 2
-    res_c = cdot - h * ci * w1 - 0.5 * h ** 3 * w3 / ci
+    rhs_a, rhs_c = exact_rhs(pot)(h * a[2:-2], c[2:-2])
+    res_a = adot - rhs_a
+    res_c = cdot - h * rhs_c
     ti = t[2:-2]
     integral_a = float(np.trapezoid(np.abs(res_a), ti)) if ti.size > 1 else 0.0
     integral_c = float(np.trapezoid(np.abs(res_c), ti)) if ti.size > 1 else 0.0

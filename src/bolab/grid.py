@@ -8,9 +8,11 @@ the Plancherel-consistent Sobolev norms.
 All multiplier operators act through the real FFT, so real-valuedness of
 fields is preserved structurally.  Every transform in the package calls
 ``scipy.fft`` (one plan cache per process); only the frequency table
-comes from ``numpy.fft``.  Odd symbols (i*sgn(xi), i*xi) are set
-to zero on the Nyquist mode; complex symbols keep only their real part
-there, which is the unique choice consistent with a real transform.
+comes from ``numpy.fft``.  A symbol keeps only its real part on the
+Nyquist mode, the unique choice consistent with a real transform, so odd
+symbols (i*sgn(xi), i*xi) are zero there; `_real_nyquist` is that rule's
+one home, for the multipliers here, the ETDRK4 tables and the dense
+matrices alike.
 """
 
 from __future__ import annotations
@@ -139,16 +141,24 @@ def _check_same_grid(*fields):
 # spectral multipliers
 # ---------------------------------------------------------------------------
 
-def apply_multiplier(f: Field, symbol) -> Field:
-    """Apply a Fourier multiplier given as symbol(xi) on the rfft half-axis.
+def _real_nyquist(symbol) -> np.ndarray:
+    """A complex copy of an rfft half-axis symbol with only the real part on Nyquist.
 
-    The Nyquist entry of a complex symbol is replaced by its real part:
-    a real transform cannot carry an imaginary Nyquist component.
+    A real transform cannot carry an imaginary Nyquist component, so this
+    is the symbol a real multiplier applies; an odd symbol (i*xi,
+    i*sgn(xi)) is zero there.
     """
     m = np.asarray(symbol, dtype=complex).copy()
+    m[-1] = m[-1].real
+    return m
+
+
+def apply_multiplier(f: Field, symbol) -> Field:
+    """Apply a Fourier multiplier given as symbol(xi) on the rfft half-axis,
+    with the Nyquist rule of `_real_nyquist`."""
+    m = _real_nyquist(symbol)
     if m.shape != f.grid.rfft_wavenumbers.shape:
         raise UsageError("symbol length does not match rfft spectrum")
-    m[-1] = m[-1].real
     out = scipy.fft.irfft(m * scipy.fft.rfft(f.values), n=f.grid.n_points)
     return Field(f.grid, out)
 

@@ -11,7 +11,6 @@ origin.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -181,12 +180,17 @@ def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> Pa
 
 
 def write_track_csv(path, track: ParameterTrack) -> None:
-    """Time-series CSV: t, a, c, residual, remainder_L2, remainder_Hhalf, remainder_local_sup."""
+    """Time-series CSV: t, a, c, residual, remainder_L2, remainder_Hhalf, remainder_local_sup.
+
+    Cells are float reprs and lines end in \\r\\n, the bytes ``csv.writer``
+    gives these rows (no cell needs quoting); the file is written in one call.
+    """
+    def row(t, d):
+        r = d.remainder
+        cells = (t, d.params.a, d.params.c, d.residual, l2_norm(r),
+                 sobolev_norm(r, 0.5), local_sup_norm(r))
+        return ",".join(repr(float(v)) for v in cells)
+    rows = "".join(f"{row(t, d)}\r\n" for t, d in zip(track.times, track.decompositions))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "a", "c", "residual", "remainder_L2",
-                    "remainder_Hhalf", "remainder_local_sup"])
-        for t, d in zip(track.times, track.decompositions):
-            w.writerow([repr(float(v)) for v in (
-                t, d.params.a, d.params.c, d.residual, l2_norm(d.remainder),
-                sobolev_norm(d.remainder, 0.5), local_sup_norm(d.remainder))])
+        fh.write("t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
+                 + rows)

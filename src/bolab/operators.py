@@ -1,31 +1,26 @@
-"""Linearized operators around the soliton and the commutator-norm probe.
+"""The symmetric operators around the soliton and the commutator-norm probe.
 
-The operator family has four kinds:
+The paper works with two self-adjoint operators, each a
+`SymmetricOperator`, the triple (identity coefficient c0, |D|
+coefficient k, weight samples w) on a grid, read as c0 f + k |D| f - w f:
 
-* "linearized":  L_c = c + D - c q(c y)   (D = |xi| multiplier; c > 0,
-                 default 1, where it is L = I + D - q)
-* "virial":      2D + I - (y q)'          (the quadratic form arising in
-                                           the localized virial identity)
-* "projector":   P f = <f, L q''>/||q'||^2 q', the rank-one projection
-                 onto q' weighted by the curvature functional
-* "dual":        (1 + gamma d/dy)^{-1} L  -- the change of variable used
-                 to pass to the dual flow.
+* ``SymmetricOperator.linearized(grid, c)``:  L_c = c + D - c q(c y)
+  (D = |xi| multiplier; c > 0, default 1, where it is L = I + D - q),
+  the triple (c, 1, c q(c y));
+* ``SymmetricOperator.virial(grid)``:  2D + I - (y q)', the quadratic
+  form arising in the localized virial identity, the triple (1, 2, (y q)').
 
-The two symmetric kinds are one triple (identity coefficient, |D|
-coefficient, weight samples), ``symmetric_parts``:
-
-* linearized(c) = (c, 1, c q(c y)),
-* virial        = (1, 2, (y q)'),
-
-read as c0 f + k |D| f - w f.  `apply_operator`, `quadratic_form`, the
-dense matrix of `spectral.discretize` and the linearized flow of
-`evolution` are all built from it, and the projector's parts (L q'', q',
-||q'||^2) come from ``projector_parts`` alone.
+`SymmetricOperator.apply`, `quadratic_form`, the dense matrix of
+`spectral.discretize` and the linearized flow of `evolution` all read
+the triple.  The rank-one projector P f = <f, L q''>/||q'||^2 q' of the
+linearized flow is not symmetric; its parts (L q'', q', ||q'||^2) come
+from ``projector_parts`` alone.  The dual variable of the virial
+estimate, (1 + gamma d/dy)^{-1} L f, is `grid.dgamma_inverse` of L f.
 
 The commutator probe measures the operator that the regularized inverse
 fails to commute with the soliton-weighted linearized operator by.  Its
-maps are built from the grid's multiplier operators and
-`apply_operator`; its norm is the top singular value from ARPACK
+maps are built from the grid's multiplier operators and the linearized
+operator; its norm is the top singular value from ARPACK
 (`scipy.sparse.linalg.svds`).
 """
 
@@ -43,74 +38,48 @@ from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
 from .soliton import (closed_form_table, profile, profile_derivative,
                       profile_second_derivative, scaled_profile)
 
-VALID_KINDS = ("linearized", "virial", "projector", "dual")
 
+@dataclass(frozen=True, eq=False)
+class SymmetricOperator:
+    """c0 f + k |D| f - w f on `grid`; w holds read-only samples at the nodes."""
 
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Which operator to apply, plus its parameters where required.
-
-    `c` is the scale of "linearized" (None means c = 1) and `gamma` the
-    regularization of "dual"; any other kind takes neither.
-    """
-
-    kind: str
-    c: float | None = None
-    gamma: float | None = None
+    grid: Grid
+    c0: float
+    k: float
+    w: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
-            raise ConfigurationError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "linearized":
-            if self.c is not None and not (self.c > 0):
-                raise ConfigurationError("linearized requires c > 0")
-        elif self.c is not None:
-            raise ConfigurationError(f"kind {self.kind!r} takes no c parameter")
-        if self.kind == "dual":
-            if self.gamma is None or not (self.gamma > 0):
-                raise ConfigurationError("dual requires gamma > 0")
-        elif self.gamma is not None:
-            raise ConfigurationError(f"kind {self.kind!r} takes no gamma parameter")
+        self.w.setflags(write=False)
 
+    @classmethod
+    def linearized(cls, grid: Grid, c: float = 1.0) -> "SymmetricOperator":
+        """L_c = c + D - c q(c y), the linearization around the soliton of scale c."""
+        if not (c > 0):
+            raise ConfigurationError("linearized requires c > 0")
+        return cls(grid, c, 1.0, c * profile(c * grid.nodes))
 
-LINEARIZED = OperatorSpec("linearized")
+    @classmethod
+    def virial(cls, grid: Grid) -> "SymmetricOperator":
+        """2D + I - (y q)', the virial form."""
+        return cls(grid, 1.0, 2.0, scaled_profile(grid.nodes))     # (yq)' = yq' + q
 
-
-def symmetric_parts(spec: OperatorSpec, grid: Grid):
-    """(c0, k, w): the symmetric kind is c0 f + k |D| f - w f on the grid."""
-    y = grid.nodes
-    if spec.kind == "linearized":
-        c = 1.0 if spec.c is None else spec.c
-        return c, 1.0, c * profile(c * y)
-    if spec.kind == "virial":
-        return 1.0, 2.0, scaled_profile(y)     # (yq)' = yq' + q
-    raise UsageError(f"kind {spec.kind!r} is not symmetric")
+    def apply(self, f: Field) -> Field:
+        if f.grid != self.grid:
+            raise UsageError("field lives on a different grid than the operator")
+        return (self.c0 * f + self.k * fractional_derivative(f, 1.0)
+                - Field(f.grid, self.w * f.values))
 
 
 def projector_parts(grid: Grid):
     """(L q'', q', ||q'||^2) of the rank-one projector P f = <f, L q''>/||q'||^2 q'."""
     qpp = Field(grid, profile_second_derivative(grid.nodes))
-    return (apply_operator(LINEARIZED, qpp).values, profile_derivative(grid.nodes),
-            closed_form_table().normQprime_c_sq(1.0))
+    return (SymmetricOperator.linearized(grid).apply(qpp).values,
+            profile_derivative(grid.nodes), closed_form_table().normQprime_c_sq(1.0))
 
 
-def apply_operator(spec: OperatorSpec, f: Field) -> Field:
-    """Apply the operator named by spec to f."""
-    g = f.grid
-    if spec.kind == "projector":
-        lqpp, qp, norm_sq = projector_parts(g)
-        return Field(g, (inner(f, Field(g, lqpp)) / norm_sq) * qp)
-    if spec.kind == "dual":
-        return dgamma_inverse(apply_operator(LINEARIZED, f), spec.gamma)
-    c0, k, w = symmetric_parts(spec, g)
-    return c0 * f + k * fractional_derivative(f, 1.0) - Field(g, w * f.values)
-
-
-def quadratic_form(spec: OperatorSpec, f: Field) -> float:
-    """<op f, f> by quadrature; only the symmetric kinds qualify."""
-    if spec.kind not in ("linearized", "virial"):
-        raise UsageError(f"quadratic form undefined for kind {spec.kind!r}")
-    return inner(apply_operator(spec, f), f)
+def quadratic_form(op: SymmetricOperator, f: Field) -> float:
+    """<op f, f> by quadrature."""
+    return inner(op.apply(f), f)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +133,7 @@ def _commutator_maps(grid: Grid, gamma: float):
     input, so they take the (n, 1) columns a LinearOperator passes.
     """
     w = np.sqrt(1.0 + (gamma * grid.nodes) ** 2)
+    lin = SymmetricOperator.linearized(grid).apply
     xi = grid.rfft_wavenumbers
     band = np.where(xi <= BAND_FRACTION * xi[-1], 1.0, 0.0)
 
@@ -172,16 +142,16 @@ def _commutator_maps(grid: Grid, gamma: float):
 
     def forward(v):
         f = project(v)
-        weighted = dgamma_inverse(apply_operator(LINEARIZED, f * w), gamma)
+        weighted = dgamma_inverse(lin(f * w), gamma)
         out = (Field(grid, weighted.values / w)
-               - apply_operator(LINEARIZED, dgamma_inverse(f, gamma)))
+               - lin(dgamma_inverse(f, gamma)))
         return project(out.values).values
 
     def adjoint(v):
         f = project(v)
         smoothed = dgamma_inverse_adjoint(Field(grid, f.values / w), gamma)
-        out = (apply_operator(LINEARIZED, smoothed) * w
-               - dgamma_inverse_adjoint(apply_operator(LINEARIZED, f), gamma))
+        out = (lin(smoothed) * w
+               - dgamma_inverse_adjoint(lin(f), gamma))
         return project(out.values).values
 
     return forward, adjoint

@@ -1,8 +1,9 @@
 """Dense discretization, eigen-analysis, and constrained coercivity.
 
-A multiplier-plus-potential operator on n grid points becomes an n x n
-matrix, the multiplier as the circulant of its first column; with the
-uniform quadrature weight, matrix symmetry and L2 self-adjointness
+A symmetric operator on n grid points becomes an n x n matrix that is
+symmetric by construction (its multiplier is the circulant of the even
+part of its first column), and `DenseOperator` accepts no other; with
+the uniform quadrature weight, matrix symmetry and L2 self-adjointness
 coincide, so plain symmetric eigensolvers apply.  Constrained Rayleigh
 quotients are computed exactly on the orthogonal complement of the
 constraint span (null-space basis + dense (generalized) eigensolve).
@@ -18,29 +19,26 @@ import scipy.fft
 from scipy.linalg import circulant, eigh, null_space
 
 from .errors import ConfigurationError, UsageError
-from .grid import Field, Grid, inner, l2_norm
-from .operators import OperatorSpec, symmetric_parts
+from .grid import Field, Grid, _real_nyquist, inner, l2_norm
+from .operators import SymmetricOperator
 
 DENSE_BUDGET = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseOperator:
-    """Matrix form of an operator kind on a specific grid."""
+    """Symmetric matrix of an operator on a specific grid.
+
+    A matrix that is not exactly symmetric raises UsageError, so `eigh`
+    never reads half of an asymmetric matrix.
+    """
 
     matrix: np.ndarray
     grid: Grid
-    spec: OperatorSpec
-    symmetrized: bool = False
 
-    def symmetrize(self) -> "DenseOperator":
-        m = self.matrix
-        asym = np.linalg.norm(m - m.T)
-        scale = np.linalg.norm(m)
-        if asym > 1e-10 * scale:
-            raise UsageError(
-                f"operator is not numerically symmetric (defect {asym/scale:.2e})")
-        return DenseOperator(0.5 * (m + m.T), self.grid, self.spec, symmetrized=True)
+    def __post_init__(self):
+        if not np.array_equal(self.matrix, self.matrix.T):
+            raise UsageError("operator matrix is not symmetric")
 
 
 @dataclass
@@ -61,36 +59,42 @@ def _multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
     down j rows, and column 0, the image of the unit vector at node 0,
     is the irfft of the symbol.
     """
-    sym = np.asarray(rfft_symbol, dtype=complex).copy()
-    sym[-1] = sym[-1].real
-    return circulant(scipy.fft.irfft(sym, n=grid.n_points))
+    return circulant(scipy.fft.irfft(_real_nyquist(rfft_symbol), n=grid.n_points))
 
 
-def discretize(spec: OperatorSpec, grid: Grid) -> DenseOperator:
-    """Assemble the dense matrix c0 I + k M - diag(w) of a symmetric kind.
+def _even_multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
+    """Symmetric matrix of a real symbol: the circulant of the even part of its column.
 
-    (c0, k, w) is the kind's triple from `operators.symmetric_parts`
-    (linearized(c) = (c, 1, c q(c y)), virial = (1, 2, (y q)')) and M the
-    matrix of the |xi| multiplier; the projector and dual kinds are not
-    symmetric and raise UsageError.
+    The column is even up to rounding; its even part 0.5 (col[j] + col[-j])
+    makes the circulant exactly symmetric and equal to 0.5 (m + m^T) of
+    the raw circulant m, without an n x n temporary.
     """
+    col = scipy.fft.irfft(_real_nyquist(rfft_symbol), n=grid.n_points)
+    return circulant(0.5 * (col + np.roll(col[::-1], 1)))
+
+
+def discretize(op: SymmetricOperator) -> DenseOperator:
+    """Assemble the dense matrix c0 I + k M - diag(w) of a symmetric operator.
+
+    (c0, k, w) is the operator's triple (linearized(c) = (c, 1, c q(c y)),
+    virial = (1, 2, (y q)')) and M the symmetric matrix of the |xi|
+    multiplier.
+    """
+    grid = op.grid
     if grid.n_points > DENSE_BUDGET:
         raise ConfigurationError(
             f"dense discretization capped at n = {DENSE_BUDGET}, got {grid.n_points}")
-    c0, k, w = symmetric_parts(spec, grid)
     # in place in M: no further n x n temporaries (32 MB each at n = 2048)
-    m = _multiplier_matrix(grid, grid.rfft_wavenumbers)
-    m *= k
+    m = _even_multiplier_matrix(grid, grid.rfft_wavenumbers)
+    m *= op.k
     diag = np.diag_indices(grid.n_points)
-    m[diag] = c0 + m[diag] - w
-    return DenseOperator(m, grid, spec)
+    m[diag] = op.c0 + m[diag] - op.w
+    return DenseOperator(m, grid)
 
 
 def sobolev_gram_matrix(grid: Grid, s: float) -> np.ndarray:
     """Dense Gram matrix of the H^s inner product: multiplier <xi>^{2s}."""
-    xi = grid.rfft_wavenumbers
-    m = _multiplier_matrix(grid, (1.0 + xi ** 2) ** s)
-    return 0.5 * (m + m.T)
+    return _even_multiplier_matrix(grid, (1.0 + grid.rfft_wavenumbers ** 2) ** s)
 
 
 def spectrum_below_continuum(op: DenseOperator, threshold: float,
@@ -102,8 +106,6 @@ def spectrum_below_continuum(op: DenseOperator, threshold: float,
     discretized continuum at finite resolution.  A warning is attached
     when no clear spectral gap separates the discrete set from the rest.
     """
-    if not op.symmetrized:
-        op = op.symmetrize()
     vals, vecs = np.linalg.eigh(op.matrix)
     keep = vals < threshold - margin
     idx = np.nonzero(keep)[0]
@@ -173,8 +175,6 @@ def constrained_min_rayleigh(op: DenseOperator, constraints, norm: str = "L2") -
     """
     if norm not in _NORM_EXPONENT:
         raise UsageError(f"norm must be one of {sorted(_NORM_EXPONENT)}, got {norm!r}")
-    if not op.symmetrized:
-        op = op.symmetrize()
     cols = []
     for c in constraints:
         v = c.values if isinstance(c, Field) else np.asarray(c, dtype=float)

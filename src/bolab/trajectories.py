@@ -93,7 +93,9 @@ def _reference_rhs(pot: PotentialSpec):
     return rhs
 
 
-def _exact_rhs(pot: PotentialSpec):
+def exact_rhs(pot: PotentialSpec):
+    """The corrected right-hand side (A, C) -> (A', C') in the slow frame, on
+    floats (the stepper) or arrays (`experiments.ode_residuals`)."""
     derivs = pot.shape_derivatives
     half_h2 = 0.5 * pot.h ** 2
     def rhs(a, c):
@@ -173,7 +175,7 @@ def _integrated(flow: _Flow):
     if flow.kind == "reference":
         rhs, detect_stop = _reference_rhs(flow.pot), True
     else:
-        rhs, detect_stop = _exact_rhs(flow.pot), False
+        rhs, detect_stop = exact_rhs(flow.pot), False
     times, pos, sc, stop = _integrate(rhs, flow.s_end, flow.ds, detect_stop, flow.y0)
     for v in (times, pos, sc):
         v.setflags(write=False)

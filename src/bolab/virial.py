@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse_adjoint,
-                   inner, l2_norm, localizer, sobolev_norm)
-from .operators import OperatorSpec, apply_operator
+from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
+                   dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
+from .operators import SymmetricOperator
 from .soliton import profile, profile_derivative
 
 
@@ -67,10 +67,11 @@ def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
 
 def _forcing_weight(f: Field, g_y0: Field, g_origin: Field, gamma: float) -> Field:
     """W_f = g_y0 f_y + L R^*(g_0 R L f_y): a snapshot's two pairings with f as one field."""
+    lin = SymmetricOperator.linearized(f.grid)
     fy = derivative(f)
-    dual_fy = apply_operator(OperatorSpec("dual", gamma=gamma), fy)
+    dual_fy = dgamma_inverse(lin.apply(fy), gamma)
     back = dgamma_inverse_adjoint(g_origin * dual_fy, gamma)
-    return g_y0 * fy + apply_operator(OperatorSpec("linearized"), back)
+    return g_y0 * fy + lin.apply(back)
 
 
 def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,

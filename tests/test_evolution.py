@@ -11,14 +11,18 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, write_checkpoint)
-from bolab.evolution import _linearized_tables, _pbo_flow, _pbo_tables
+from bolab.evolution import (_evolve, _linearized_tables, _pbo_flow, _pbo_tables,
+                             _step_count)
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
 
 def step_pbo(state, dt):
-    # no seam guard: it trips on a zero field, whose argmax is the node at -L/2
-    return evolve_pbo(state, dt, dt, seam_guard=False).states[-1]
+    # the driver without evolve_pbo's guards: the seam guard trips on a zero
+    # field, whose argmax is the node at -L/2
+    n_steps = _step_count(dt, dt)
+    flow = _pbo_flow(state.field.grid, dt, state.potential)
+    return _evolve(state, n_steps, dt, 1, flow).states[-1]
 
 
 def step_linearized(state, dt, forcing=None):
@@ -85,6 +89,13 @@ class TestStepPbo:
         state = EvolutionState(0.0, Field(grid_small, vals), None)
         with pytest.raises(EvolutionError):
             evolve_pbo(state, 2.0, 0.002, snapshot_stride=10)
+
+    def test_seam_guard(self, grid_small):
+        # a soliton within L/4 of the seam stops the run at its first snapshot
+        a = 0.3 * grid_small.domain_length
+        state = EvolutionState(0.0, soliton_field(grid_small, SolitonParams(a, 1.0)), None)
+        with pytest.raises(EvolutionError, match="seam guard"):
+            evolve_pbo(state, 0.01, 0.01)
 
 
 class TestConservation:

@@ -7,7 +7,9 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from bolab import ConfigurationError, ExperimentConfig, run_theorem_sweep
+from bolab import (ConfigurationError, Decomposition, ExperimentConfig, Field,
+                   Grid, ParameterTrack, PotentialSpec, SolitonParams,
+                   ode_residuals, run_theorem_sweep)
 from bolab import experiments
 from bolab.experiments import SweepMember, _run_member, parse_config
 
@@ -95,3 +97,32 @@ class TestRunMember:
         assert start[0] == 0.0
         assert start[1] == pytest.approx(a0, rel=1e-15, abs=1e-300)
         assert start[2] == c0
+
+
+class TestOdeResiduals:
+    def test_residuals_subtract_the_written_out_corrected_ode(self):
+        # a synthetic h = 0.05 track; the residuals come from
+        # trajectories.exact_rhs and must match the corrected ODE
+        #   a' = c - W(ha) + (h^2/2) W''(ha)/c^2
+        #   c' = h c W'(ha) + (h^3/2) W'''(ha)/c
+        h = 0.05
+        pot = PotentialSpec.bump(h)
+        t = 0.1 * np.arange(200)
+        a = 0.9 * t + 0.5 * np.sin(0.3 * t)
+        c = 1.0 + 0.1 * np.sin(0.05 * t)
+        rest = Field.zeros(Grid(8, 1.0))
+        track = ParameterTrack(times=t, decompositions=[
+            Decomposition(SolitonParams(ak, ck), rest, "symplectic", 0, 0.0)
+            for ak, ck in zip(a, c)])
+        got = ode_residuals(track, pot)
+
+        ai, ci = a[2:-2], c[2:-2]
+        w, w1, w2, w3 = pot.shape_derivatives(h * ai)
+        adot = experiments._central_derivative_4(a, 0.1)
+        cdot = experiments._central_derivative_4(c, 0.1)
+        res_a = adot - ci + w - 0.5 * h * h * w2 / ci ** 2
+        res_c = cdot - h * ci * w1 - 0.5 * h ** 3 * w3 / ci
+        assert np.allclose(got.residual_a, res_a, rtol=0, atol=1e-14)
+        assert np.allclose(got.residual_c, res_c, rtol=0, atol=1e-15)
+        for value, res in ((got.integral_a, res_a), (got.integral_c, res_c)):
+            assert value == pytest.approx(np.trapezoid(np.abs(res), t[2:-2]), rel=1e-10)

@@ -7,7 +7,7 @@ from bolab import (ConfigurationError, Field, Grid, UsageError, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
                    l2_norm, local_sup_norm, localizer, sobolev_norm,
                    translate)
-from bolab.grid import LocalizerSpec, cell_l2_profile
+from bolab.grid import LocalizerSpec, _real_nyquist, cell_l2_profile
 
 from conftest import random_band_limited
 
@@ -43,6 +43,20 @@ class TestMakeGrid:
     def test_spacing_times_n_is_length(self):
         g = Grid(512, 37.5)
         assert g.spacing * g.n_points == pytest.approx(g.domain_length, rel=1e-15)
+
+
+class TestNyquistRule:
+    def test_real_part_kept_on_nyquist_only(self):
+        xi = Grid(16, 8.0).rfft_wavenumbers
+        for symbol in (1j * xi, 1j * xi * np.abs(xi), np.exp(1j * xi * 0.3), np.abs(xi)):
+            got = _real_nyquist(symbol)
+            assert got.dtype == complex
+            assert np.array_equal(got[:-1], symbol[:-1])
+            assert got[-1] == np.real(symbol[-1])
+        assert _real_nyquist(1j * xi)[-1] == 0.0         # odd symbols vanish there
+        symbol = 1j * xi
+        _real_nyquist(symbol)
+        assert symbol[-1] == 1j * xi[-1]                 # the input is not changed
 
 
 class TestHilbert:

@@ -9,6 +9,7 @@ import pytest
 from bolab import (DecompositionError, EvolutionState, Field, Grid,
                    ParameterTrack, SolitonParams, decompose, evolve_pbo,
                    read_checkpoint, soliton_field, track_parameters)
+from bolab.grid import l2_norm, local_sup_norm, sobolev_norm
 from bolab.modulation import write_track_csv
 
 DATA = Path(__file__).parent / "data"
@@ -31,6 +32,26 @@ def test_track_csv_cells_are_plain_floats(tmp_path):
         for cell in row:
             float(cell)
     assert float(rows[2][1]) == fits[1].params.a
+
+
+def test_track_csv_bytes_match_csv_writer(tmp_path):
+    # the one-write writer against the csv.writer rows it replaces
+    grid = Grid(1024, 128.0)
+    fits = [decompose(soliton_field(grid, SolitonParams(a, c)), "symplectic",
+                      SolitonParams(0.0, 1.0))
+            for a, c in ((0.02, 1.01), (0.05, 0.99), (-0.03, 1.0))]
+    track = ParameterTrack(times=np.array([0.0, 0.1, 0.2]), decompositions=fits)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_track_csv(got, track)
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "a", "c", "residual", "remainder_L2",
+                    "remainder_Hhalf", "remainder_local_sup"])
+        for t, d in zip(track.times, track.decompositions):
+            w.writerow([repr(float(v)) for v in (
+                t, d.params.a, d.params.c, d.residual, l2_norm(d.remainder),
+                sobolev_norm(d.remainder, 0.5), local_sup_norm(d.remainder))])
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_track_moves_the_guess_with_the_soliton():

@@ -5,11 +5,11 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from bolab import (ConfigurationError, DiagnosticError, Field, Grid,
-                   OperatorSpec, UsageError, apply_operator, commutator_probe,
+                   SymmetricOperator, UsageError, commutator_probe,
                    dgamma_inverse, derivative, inner, l2_norm, quadratic_form)
 from bolab import operators
 from bolab.operators import (_commutator_maps, commutator_matrix,
-                            top_singular_value)
+                            projector_parts, top_singular_value)
 from bolab.soliton import (eigenfunction_field, profile, profile_derivative,
                            profile_second_derivative, scaled_profile)
 
@@ -22,68 +22,56 @@ def q_fields(grid):
             Field(grid, scaled_profile(y)))
 
 
-class TestOperatorSpec:
-    def test_linearized_requires_positive_c(self):
+def linearized(f, c=1.0):
+    return SymmetricOperator.linearized(f.grid, c).apply(f)
+
+
+def project(f):
+    """The flow's rank-one projector P f = <f, L q''>/||q'||^2 q'."""
+    lqpp, qp, norm_sq = projector_parts(f.grid)
+    return Field(f.grid, (inner(f, Field(f.grid, lqpp)) / norm_sq) * qp)
+
+
+class TestSymmetricOperator:
+    def test_linearized_requires_positive_c(self, grid_small):
         for c in (0.0, -1.5):
             with pytest.raises(ConfigurationError):
-                OperatorSpec("linearized", c=c)
-
-    def test_dual_requires_gamma(self):
-        with pytest.raises(ConfigurationError):
-            OperatorSpec("dual")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            OperatorSpec("mystery")
-
-    def test_stray_parameters_rejected(self):
-        # only the linearized kind has a scale c
-        for kind, gamma in (("virial", None), ("projector", None), ("dual", 0.1)):
-            with pytest.raises(ConfigurationError):
-                OperatorSpec(kind, c=1.0, gamma=gamma)
-
-    def test_stray_gamma_rejected(self):
-        # only the dual kind has a regularization gamma
-        for kind in ("linearized", "virial", "projector"):
-            with pytest.raises(ConfigurationError):
-                OperatorSpec(kind, gamma=0.1)
+                SymmetricOperator.linearized(grid_small, c)
 
 
 class TestKernelIdentities:
     def test_translation_mode_annihilated(self, grid_default):
         _, qp, _ = q_fields(grid_default)
-        out = apply_operator(OperatorSpec("linearized"), qp)
+        out = linearized(qp)
         assert l2_norm(out) <= 2e-6
 
     def test_scale_mode_maps_to_minus_profile(self, grid_default):
         q, _, yqp = q_fields(grid_default)
-        out = apply_operator(OperatorSpec("linearized"), yqp)
+        out = linearized(yqp)
         assert l2_norm(out + q) <= 2e-6
 
     def test_profile_image(self, grid_default):
         q, _, yqp = q_fields(grid_default)
-        out = apply_operator(OperatorSpec("linearized"), q)
+        out = linearized(q)
         assert l2_norm(out + yqp + q) <= 1e-3
 
     def test_projector_kills_odd_mode(self, grid_default):
         _, qp, _ = q_fields(grid_default)
-        out = apply_operator(OperatorSpec("projector"), qp)
+        out = project(qp)
         assert l2_norm(out) <= 1e-10
 
     def test_scaled_kernel(self, grid_default):
         c = 1.5
         y = grid_default.nodes
         qp_c = Field(grid_default, c * c * profile_derivative(c * y))
-        out = apply_operator(OperatorSpec("linearized", c=c), qp_c)
+        out = linearized(qp_c, c)
         assert l2_norm(out) <= 5e-5
 
     def test_grid_mismatch_rejected(self, grid_default, grid_small):
-        spec = OperatorSpec("projector")
-        f = Field.zeros(grid_small)
-        out = apply_operator(spec, f)        # fine on its own grid
-        assert l2_norm(out) == 0.0
+        op = SymmetricOperator.linearized(grid_small)
+        assert l2_norm(op.apply(Field.zeros(grid_small))) == 0.0   # its own grid
         with pytest.raises(UsageError):
-            Field.zeros(grid_default) + out
+            op.apply(Field.zeros(grid_default))
 
 
 class TestParity:
@@ -94,9 +82,8 @@ class TestParity:
         refl = (n - np.arange(n)) % n
         even = Field(grid_small, 0.5 * (f.values + f.values[refl]))
         odd = Field(grid_small, 0.5 * (f.values - f.values[refl]))
-        spec = OperatorSpec("linearized")
         for g, parity_sign in ((even, 1.0), (odd, -1.0)):
-            out = apply_operator(spec, g)
+            out = linearized(g)
             mirrored = out.values[refl]
             leak = np.max(np.abs(out.values - parity_sign * mirrored))
             assert leak <= 1e-10 * max(np.max(np.abs(out.values)), 1e-300)
@@ -108,7 +95,7 @@ class TestQuadraticForms:
         # Rayleigh quotient; ~1e-5 at L = 1024
         for sign in ("+", "-"):
             e, lam = eigenfunction_field(grid_default, sign)
-            got = quadratic_form(OperatorSpec("linearized"), e) / inner(e, e)
+            got = quadratic_form(SymmetricOperator.linearized(grid_default), e) / inner(e, e)
             assert got == pytest.approx(lam, abs=2e-5)
 
     def test_virial_form_identity(self, grid_small):
@@ -117,20 +104,25 @@ class TestQuadraticForms:
         rng = np.random.default_rng(41)
         f = random_band_limited(grid_small, rng)
         from bolab import fractional_derivative
-        lhs = quadratic_form(OperatorSpec("virial"), f)
+        lhs = quadratic_form(SymmetricOperator.virial(grid_small), f)
         yqp = scaled_profile(grid_small.nodes)
         dhalf = fractional_derivative(f, 0.5)
-        rhs = (quadratic_form(OperatorSpec("linearized"), f)
+        rhs = (quadratic_form(SymmetricOperator.linearized(grid_small), f)
                + inner(dhalf, dhalf)
                - inner(Field(grid_small, (yqp - profile(grid_small.nodes)) * f.values), f))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_zero_field(self, grid_small):
-        assert quadratic_form(OperatorSpec("linearized"), Field.zeros(grid_small)) == 0.0
+        zero = Field.zeros(grid_small)
+        assert quadratic_form(SymmetricOperator.linearized(grid_small), zero) == 0.0
 
     def test_projector_not_quadratic(self, grid_small):
-        with pytest.raises(UsageError):
-            quadratic_form(OperatorSpec("projector"), Field.zeros(grid_small))
+        # <P q, q'> = <q, L q''> = int q q'^2 = 10 pi but <q, P q'> = 0: the
+        # projector is not symmetric, so it is no SymmetricOperator and has
+        # no quadratic form
+        q, qp, _ = q_fields(grid_small)
+        assert inner(project(q), qp) == pytest.approx(10.0 * np.pi, rel=1e-3)
+        assert abs(inner(q, project(qp))) <= 1e-10
 
 
 class TestDualVariable:
@@ -145,7 +137,7 @@ class TestDualVariable:
                                 envelope=lambda x: np.exp(-(x / 40.0) ** 2))
         for g in (q, qp):
             v = v - (inner(v, g) / inner(g, g)) * g
-        psi = apply_operator(OperatorSpec("dual", gamma=gamma), v)
+        psi = dgamma_inverse(linearized(v), gamma)
         qpp = Field(grid_default, profile_second_derivative(y))
         yqpp = Field(grid_default, 8.0 * y * (y * y - 3.0) / (1.0 + y * y) ** 3)
         t1 = abs(inner(psi, qp - gamma * qpp))
@@ -163,11 +155,9 @@ class TestDualVariable:
         grid = Grid(4096, 256.0)
         f = random_band_limited(grid, rng, max_mode_frac=0.0625)
         grid_small = grid
-        lin = OperatorSpec("linearized")
-        lhs = dgamma_inverse(
-            apply_operator(lin, f + gamma * derivative(f)), gamma)
+        lhs = dgamma_inverse(linearized(f + gamma * derivative(f)), gamma)
         qp = Field(grid_small, profile_derivative(grid_small.nodes))
-        rhs = apply_operator(lin, f) + gamma * dgamma_inverse(qp * f, gamma)
+        rhs = linearized(f) + gamma * dgamma_inverse(qp * f, gamma)
         assert l2_norm(lhs - rhs) <= 1e-9 * max(l2_norm(rhs), 1.0)
 
 

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from bolab import (ConfigurationError, Field, Grid, OperatorSpec, UsageError,
-                   angle_lemma_bound, apply_operator, closed_form_table,
-                   constrained_min_rayleigh, discretize, l2_norm,
-                   sobolev_norm, spectrum_below_continuum)
-from bolab.spectral import parity_restriction, sobolev_gram_matrix
+from bolab import (ConfigurationError, DenseOperator, Field, Grid,
+                   SymmetricOperator, UsageError, angle_lemma_bound,
+                   closed_form_table, constrained_min_rayleigh, discretize,
+                   l2_norm, sobolev_norm, spectrum_below_continuum)
+from bolab.spectral import (_multiplier_matrix, parity_restriction,
+                            sobolev_gram_matrix)
 from bolab.soliton import (eigenfunction_field, profile, profile_derivative,
                            scaled_profile)
 
@@ -23,7 +24,7 @@ def grid_spec():
 
 @pytest.fixture(scope="module")
 def lin_op(grid_spec):
-    return discretize(OperatorSpec("linearized"), grid_spec).symmetrize()
+    return discretize(SymmetricOperator.linearized(grid_spec))
 
 
 @pytest.fixture(scope="module")
@@ -36,49 +37,69 @@ def constraint_pair(grid):
     return (Field(grid, profile_derivative(y)), Field(grid, scaled_profile(y)))
 
 
+OPERATORS = {"linearized-c1": SymmetricOperator.linearized,
+             "linearized-c1.5": lambda g: SymmetricOperator.linearized(g, 1.5),
+             "virial": SymmetricOperator.virial}
+
+
 class TestDiscretize:
-    @pytest.mark.parametrize("spec", [OperatorSpec("linearized"),
-                                      OperatorSpec("linearized", c=1.5),
-                                      OperatorSpec("virial")],
-                             ids=["linearized-c1", "linearized-c1.5", "virial"])
-    def test_matches_apply_on_random_fields(self, grid_small, spec):
-        op = discretize(spec, grid_small)
+    @pytest.mark.parametrize("make", OPERATORS.values(), ids=OPERATORS.keys())
+    def test_matches_apply_on_random_fields(self, grid_small, make):
+        op = make(grid_small)
+        dense = discretize(op)
         rng = np.random.default_rng(3)
         for _ in range(4):
             f = random_band_limited(grid_small, rng)
-            direct = apply_operator(spec, f)
-            mat = Field(grid_small, op.matrix @ f.values)
+            direct = op.apply(f)
+            mat = Field(grid_small, dense.matrix @ f.values)
             assert l2_norm(direct - mat) <= 1e-10 * max(l2_norm(direct), 1.0)
 
     def test_annihilates_translation_mode(self, grid_small):
         # spacing 1/4 leaves ~2e-4 aliasing of the e^{-|xi|} spectral tail
-        op = discretize(OperatorSpec("linearized"), grid_small)
+        op = discretize(SymmetricOperator.linearized(grid_small))
         qp = profile_derivative(grid_small.nodes)
         out = op.matrix @ qp
         assert np.sqrt(grid_small.spacing) * np.linalg.norm(out) <= 5e-4
 
     def test_symmetry(self, grid_small):
-        op = discretize(OperatorSpec("linearized"), grid_small)
-        m = op.matrix
-        assert np.linalg.norm(m - m.T) <= 1e-10 * np.linalg.norm(m)
+        # the dense matrices and the H^s Gram matrices are exactly symmetric,
+        # and bit for bit 0.5 (m + m^T) of the raw circulant assembly m
+        xi = grid_small.rfft_wavenumbers
+        diag = np.diag_indices(grid_small.n_points)
+        pairs = []
+        for make in OPERATORS.values():
+            op = make(grid_small)
+            raw = op.k * _multiplier_matrix(grid_small, xi)
+            raw[diag] = op.c0 + raw[diag] - op.w
+            pairs.append((discretize(op).matrix, raw))
+        for s in (0.5, 1.0):
+            pairs.append((sobolev_gram_matrix(grid_small, s),
+                          _multiplier_matrix(grid_small, (1.0 + xi ** 2) ** s)))
+        for got, raw in pairs:
+            assert np.array_equal(got, got.T)
+            assert np.array_equal(got, 0.5 * (raw + raw.T))
+
+    def test_asymmetric_matrix_rejected(self, grid_small):
+        m = discretize(SymmetricOperator.linearized(grid_small)).matrix.copy()
+        m[0, 1] = np.nextafter(m[0, 1], np.inf)
+        with pytest.raises(UsageError):
+            DenseOperator(m, grid_small)
 
     def test_virial_matrix_identity(self, grid_small):
         # virial matrix = linearized matrix + |xi| part - diag((yq)' - q)
-        lin = discretize(OperatorSpec("linearized"), grid_small).matrix
-        vir = discretize(OperatorSpec("virial"), grid_small).matrix
-        from bolab.spectral import _multiplier_matrix
+        lin = discretize(SymmetricOperator.linearized(grid_small)).matrix
+        vir = discretize(SymmetricOperator.virial(grid_small)).matrix
         dmat = _multiplier_matrix(grid_small, grid_small.rfft_wavenumbers)
         extra = np.diag(scaled_profile(grid_small.nodes) - profile(grid_small.nodes))
         assert np.allclose(vir, lin + dmat - extra, atol=1e-11)
 
     def test_budget_enforced(self):
         with pytest.raises(ConfigurationError):
-            discretize(OperatorSpec("linearized"), Grid(8192, 1024.0))
+            discretize(SymmetricOperator.linearized(Grid(8192, 1024.0)))
 
     def test_multiplier_matrix_matches_the_transformed_identity(self, grid_small):
         # the circulant of the first column against the multiplier applied
         # to every unit vector: an even real, an even and an odd symbol
-        from bolab.spectral import _multiplier_matrix
         n = grid_small.n_points
         xi = grid_small.rfft_wavenumbers
         for symbol in (np.abs(xi), (1.0 + xi ** 2) ** 0.5, 1j * xi):
@@ -131,8 +152,7 @@ class TestConstrainedRayleigh:
 
     def test_squared_operator_gap(self, lin_op, grid_spec):
         sq = lin_op.matrix @ lin_op.matrix
-        from bolab.spectral import DenseOperator
-        op2 = DenseOperator(0.5 * (sq + sq.T), grid_spec, lin_op.spec, symmetrized=True)
+        op2 = DenseOperator(0.5 * (sq + sq.T), grid_spec)
         qp = Field(grid_spec, profile_derivative(grid_spec.nodes))
         m = constrained_min_rayleigh(op2, [qp], "L2")
         assert m >= TBL.lambda_plus ** 2 - 5e-3
@@ -141,26 +161,26 @@ class TestConstrainedRayleigh:
         vals = []
         for (n, length) in ((1024, 256.0), (2048, 512.0)):
             g = Grid(n, length)
-            op = discretize(OperatorSpec("virial"), g).symmetrize()
+            op = discretize(SymmetricOperator.virial(g))
             vals.append(constrained_min_rayleigh(op, constraint_pair(g), "Hhalf"))
         assert vals[0] > 0 and vals[1] > 0
         assert abs(vals[0] - vals[1]) <= 0.1 * max(vals)
 
     def test_monotone_in_constraints(self, grid_small):
-        op = discretize(OperatorSpec("linearized"), grid_small).symmetrize()
+        op = discretize(SymmetricOperator.linearized(grid_small))
         qp, yqp = constraint_pair(grid_small)
         one = constrained_min_rayleigh(op, [qp], "L2")
         two = constrained_min_rayleigh(op, [qp, yqp], "L2")
         assert two >= one - 1e-12
 
     def test_singular_constraints_rejected(self, grid_small):
-        op = discretize(OperatorSpec("linearized"), grid_small).symmetrize()
+        op = discretize(SymmetricOperator.linearized(grid_small))
         qp, _ = constraint_pair(grid_small)
         with pytest.raises(UsageError):
             constrained_min_rayleigh(op, [qp, 2.0 * qp], "L2")
 
     def test_unknown_norm_rejected(self, grid_small):
-        op = discretize(OperatorSpec("linearized"), grid_small).symmetrize()
+        op = discretize(SymmetricOperator.linearized(grid_small))
         qp, _ = constraint_pair(grid_small)
         with pytest.raises(UsageError):
             constrained_min_rayleigh(op, [qp], "Linf")
@@ -200,7 +220,7 @@ class TestAngleBound:
         # 200 random even unit constraint directions f and random even
         # v orthogonal to f: the quadratic form respects the angle bound
         grid = Grid(1024, 256.0)
-        op = discretize(OperatorSpec("linearized"), grid).symmetrize()
+        op = discretize(SymmetricOperator.linearized(grid))
         em, _ = eigenfunction_field(grid, "-")
         n = grid.n_points
         refl = (n - np.arange(n)) % n

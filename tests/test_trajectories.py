@@ -294,7 +294,7 @@ class TestIntegrationCache:
             (lambda: integrate_reference(stops, 4.0),
              (trajectories._reference_rhs(stops), 4.0, 1e-3, True, (0.0, 1.0))),
             (lambda: integrate_exact(pot, 2.0, y0=y0),
-             (trajectories._exact_rhs(pot), 2.0, 1e-3, False, y0)),
+             (trajectories.exact_rhs(pot), 2.0, 1e-3, False, y0)),
         ]
         for call, args in cases:
             *want, stop = trajectories._integrate(*args)

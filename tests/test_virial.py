@@ -6,11 +6,11 @@ import pytest
 import scipy.fft
 
 from bolab import (ConfigurationError, EvolutionState, Field, Grid,
-                   LinearizedRunSpec, LocalizerSpec, OperatorSpec, UsageError,
-                   apply_operator, derivative, evolve_linearized, g_remainder,
+                   LinearizedRunSpec, LocalizerSpec, SymmetricOperator,
+                   UsageError, derivative, evolve_linearized, g_remainder,
                    inner, l2_norm, local_smoothing_lhs, localizer,
                    sobolev_norm, virial_sweep)
-from bolab.grid import dgamma_inverse_adjoint
+from bolab.grid import dgamma_inverse, dgamma_inverse_adjoint
 from bolab.soliton import profile, profile_derivative
 
 from conftest import random_band_limited
@@ -41,12 +41,15 @@ def _direct_g_remainder(vs, fs, dt, spec, gamma):
     grid = vs[0].grid
     g_y0, _ = localizer(spec, grid)
     g_0, _ = localizer(LocalizerSpec(spec.gamma, 0.0), grid)
-    dual = OperatorSpec("dual", gamma=gamma)
+    lin = SymmetricOperator.linearized(grid)
+
+    def dual(f):
+        return dgamma_inverse(lin.apply(f), gamma)
+
     terms = []
     for v, f in zip(vs, fs):
         fy = derivative(f)
-        terms.append(inner(g_y0 * v, fy)
-                     + inner(g_0 * apply_operator(dual, v), apply_operator(dual, fy)))
+        terms.append(inner(g_y0 * v, fy) + inner(g_0 * dual(v), dual(fy)))
     return dt * (sum(terms) - 0.5 * (terms[0] + terms[-1]))
 
 
@@ -89,14 +92,14 @@ class TestGRemainder:
     def test_adjoint_identity(self, grid):
         # <R L a, b> = <a, L R^* b>, the step that folds the dual pairing onto v
         rng = np.random.default_rng(11)
-        dual = OperatorSpec("dual", gamma=GAMMA)
-        lin = OperatorSpec("linearized")
+        lin = SymmetricOperator.linearized(grid)
         for _ in range(3):
             a = random_band_limited(grid, rng)
             b = random_band_limited(grid, rng)
-            lhs = inner(apply_operator(dual, a), b)
-            rhs = inner(a, apply_operator(lin, dgamma_inverse_adjoint(b, GAMMA)))
-            scale = l2_norm(apply_operator(dual, a)) * l2_norm(b)
+            dual_a = dgamma_inverse(lin.apply(a), GAMMA)
+            lhs = inner(dual_a, b)
+            rhs = inner(a, lin.apply(dgamma_inverse_adjoint(b, GAMMA)))
+            scale = l2_norm(dual_a) * l2_norm(b)
             assert abs(lhs - rhs) <= 1e-13 * scale
 
     def test_rejects_bad_input(self, grid):
