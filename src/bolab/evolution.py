@@ -46,19 +46,16 @@ One rule keeps it so: numpy's complex multiply is not bitwise
 commutative (it may contract to FMA), so each product keeps the table
 on the left, ``np.multiply(table, x, out=x)``, never ``x *= table``.
 
-The coefficient tables are read-only and shared: ``functools.lru_cache``
-holds them per (grid, dt) and, for pBO, per potential (``PotentialSpec``
-compares by its key).  The stage rows, the right-hand side and its work
-buffers belong to one ``evolve_*`` call, so concurrent runs share no
-writable state.  The linearized flow reads its symbol and weight from
-``operators.SymmetricOperator.linearized`` and its projector from
-``operators.projector_parts``, the one definition of the operator
-family; every table takes the Nyquist rule of ``grid._real_nyquist``.
+Each ``evolve_*`` call owns its tables, its buffers and its right-hand
+side, so concurrent runs share no state.  The linearized flow reads its
+symbol and weight from ``operators.SymmetricOperator.linearized`` and
+its projector from ``operators.projector_parts``, the one definition of
+the operator family; every table takes the Nyquist rule of
+``grid._real_nyquist``.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 
@@ -99,22 +96,18 @@ class InvariantReport:
     energy_perturbed: float
 
 
-def _read_only(*tables) -> None:
-    """Freeze cached tables: every caller of the cache gets the same arrays."""
-    for table in tables:
-        if table is not None:
-            table.setflags(write=False)
+_N_CONTOUR = 64                 # quadrature points on each contour circle
 
 
 class _Etdrk4Tables:
-    """Read-only ETDRK4 coefficients for u' = symbol*u + N(u) on one (grid, dt).
+    """ETDRK4 coefficients for u' = symbol*u + N(u) on one (grid, dt).
 
     Full-circle contour quadrature evaluates the phi-function
     combinations stably near symbol = 0.
     """
 
-    def __init__(self, symbol: np.ndarray, dt: float, n_contour: int = 64):
-        r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    def __init__(self, symbol: np.ndarray, dt: float):
+        r = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
         lr = dt * symbol[:, None] + r[None, :]
         elr = np.exp(lr)
         self.e_full = np.exp(dt * symbol)
@@ -123,7 +116,6 @@ class _Etdrk4Tables:
         self.w1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3).mean(1)
         self.w2x2 = 2.0 * (dt * ((2.0 + lr + elr * (-2.0 + lr)) / lr ** 3).mean(1))
         self.w3 = dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr)) / lr ** 3).mean(1)
-        _read_only(self.e_full, self.e_half, self.stage, self.w1, self.w2x2, self.w3)
 
     def step_spectrum(self, uh, out, nonlinear, stages) -> None:
         """One ETDRK4 step of the spectrum uh into out; four calls of `nonlinear`.
@@ -159,29 +151,18 @@ class _Etdrk4Tables:
         np.add(out, tmp, out=out)
 
 
-@functools.lru_cache(maxsize=16)
-def _pbo_tables(grid: Grid, dt: float, pot: PotentialSpec | None):
-    """(tables, flux multiplier, V samples or None) of the pBO flow.
-
-    The flux multiplier (2/3-rule mask) * i*xi folds the dealiasing into
-    the derivative of the whole flux u (V - u/2).
-    """
-    xi = grid.rfft_wavenumbers
-    symbol = _real_nyquist(1j * xi * np.abs(xi))
-    dflux = np.where(xi <= (2.0 / 3.0) * xi[-1], 1j * xi, 0.0)
-    v = pot.sampled_potential(grid.nodes) if pot is not None else None
-    _read_only(dflux, v)
-    return _Etdrk4Tables(symbol, dt), dflux, v
-
-
 def _pbo_flow(grid: Grid, dt: float, pot: PotentialSpec | None):
     """The pBO tables and a right-hand side that owns its work row.
 
-    Per stage: one irfft, the flux u (V - u/2) (u (-u/2) without a
-    potential) written in place, one rfft and one multiply by the flux
-    multiplier.
+    The flux multiplier (2/3-rule mask) * i*xi folds the dealiasing into
+    the derivative of the whole flux u (V - u/2).  Per stage: one irfft,
+    the flux (u (-u/2) without a potential) written in place, one rfft
+    and one multiply by the flux multiplier.
     """
-    tables, dflux, v = _pbo_tables(grid, dt, pot)
+    xi = grid.rfft_wavenumbers
+    tables = _Etdrk4Tables(_real_nyquist(1j * xi * np.abs(xi)), dt)
+    dflux = np.where(xi <= (2.0 / 3.0) * xi[-1], 1j * xi, 0.0)
+    v = pot.sampled_potential(grid.nodes) if pot is not None else None
     n = grid.n_points
     work = np.empty(n)
 
@@ -195,34 +176,24 @@ def _pbo_flow(grid: Grid, dt: float, pot: PotentialSpec | None):
     return tables, nonlinear
 
 
-@functools.lru_cache(maxsize=16)
-def _linearized_tables(grid: Grid, dt: float):
-    """(tables, i*xi, -w, rfft(q'), L q'', ||q'||^2) of the linearized flow.
+def _linearized_flow(grid: Grid, dt: float, forcing: Field | None):
+    """The linearized tables and a right-hand side for one static forcing.
 
     The linearized operator's triple (c0, k, w) gives the exactly
     integrated symbol i*xi*(c0 + k|xi|) and the weight of -d_y(w v); the
-    projector's parts come from `operators.projector_parts`.
+    projector's parts come from `operators.projector_parts`.  The forcing
+    term i*xi*f^ is transformed once; per stage there is one irfft and
+    one rfft of -w v.
     """
+    if forcing is not None and forcing.grid != grid:
+        raise UsageError("forcing lives on a different grid")
     op = SymmetricOperator.linearized(grid)
     xi = grid.rfft_wavenumbers
-    symbol = _real_nyquist(1j * xi * (op.c0 + op.k * np.abs(xi)))
+    tables = _Etdrk4Tables(_real_nyquist(1j * xi * (op.c0 + op.k * np.abs(xi))), dt)
     dxi = _real_nyquist(1j * xi)
     lqpp, qp, norm_sq = projector_parts(grid)
     qp_hat = scipy.fft.rfft(qp)
     neg_w = -op.w
-    _read_only(dxi, neg_w, qp_hat)
-    return _Etdrk4Tables(symbol, dt), dxi, neg_w, qp_hat, lqpp, norm_sq
-
-
-def _linearized_flow(grid: Grid, dt: float, forcing: Field | None):
-    """The linearized tables and a right-hand side for one static forcing.
-
-    The forcing term i*xi*f^ is transformed once; per stage there is one
-    irfft and one rfft of -w v.
-    """
-    if forcing is not None and forcing.grid != grid:
-        raise UsageError("forcing lives on a different grid")
-    tables, dxi, neg_w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
     n = grid.n_points
     dx = grid.spacing
     force = dxi * scipy.fft.rfft(forcing.values) if forcing is not None else 0.0

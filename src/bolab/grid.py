@@ -170,14 +170,9 @@ def hilbert(f: Field) -> Field:
     return apply_multiplier(f, sym)
 
 
-def derivative(f: Field, order: int = 1) -> Field:
-    """Spectral d^k/dy^k; odd orders are zeroed on the Nyquist mode."""
-    xi = f.grid.rfft_wavenumbers
-    sym = (1j * xi) ** order
-    if order % 2 == 1:
-        sym = sym.copy()
-        sym[-1] = 0.0
-    return apply_multiplier(f, sym)
+def derivative(f: Field) -> Field:
+    """Spectral d/dy, zero on the Nyquist mode by the rule of `_real_nyquist`."""
+    return apply_multiplier(f, 1j * f.grid.rfft_wavenumbers)
 
 
 def fractional_derivative(f: Field, s: float) -> Field:

@@ -114,17 +114,12 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
     else:
         raise DecompositionError(
             f"Newton did not converge within {MAX_NEWTON_ITERS} iterations")
-    # the loop left through a test: zeta, m1 and m2 belong to the final (a, c)
+    # the loop left through a test: zeta, g1, g2, m1n and m2n belong to
+    # the final (a, c)
     params = SolitonParams(a=a, c=c)
-    zeta_field = Field(grid, zeta)
-    remainder = translate(zeta_field, a)
+    remainder = translate(Field(grid, zeta), a)
     rem_norm = max(l2_norm(remainder), 1e-300)
-    res = max(
-        abs(dx * float(zeta_field.values @ m1))
-        / (math.sqrt(dx) * np.linalg.norm(m1) * rem_norm + 1e-300),
-        abs(dx * float(zeta_field.values @ m2))
-        / (math.sqrt(dx) * np.linalg.norm(m2) * rem_norm + 1e-300),
-    )
+    res = max(abs(g1) / (m1n * rem_norm + 1e-300), abs(g2) / (m2n * rem_norm + 1e-300))
     return Decomposition(params=params, remainder=remainder, regime=regime,
                          newton_iters=iters, residual=res)
 

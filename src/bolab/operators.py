@@ -35,8 +35,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 from .errors import ConfigurationError, DiagnosticError, UsageError
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
                    dgamma_inverse_adjoint, fractional_derivative, inner)
-from .soliton import (closed_form_table, profile, profile_derivative,
-                      profile_second_derivative, scaled_profile)
+from .soliton import closed_form_table, profile, profile_derivative, scaled_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +70,13 @@ class SymmetricOperator:
 
 
 def projector_parts(grid: Grid):
-    """(L q'', q', ||q'||^2) of the rank-one projector P f = <f, L q''>/||q'||^2 q'."""
-    qpp = Field(grid, profile_second_derivative(grid.nodes))
-    return (SymmetricOperator.linearized(grid).apply(qpp).values,
-            profile_derivative(grid.nodes), closed_form_table().normQprime_c_sq(1.0))
+    """(L q'', q', ||q'||^2) of the rank-one projector P f = <f, L q''>/||q'||^2 q'.
+
+    L q'' is (q')^2 in closed form: differentiating L q' = 0 gives
+    L q'' - q' q' = 0, since d/dy commutes with 1 + D.
+    """
+    qp = profile_derivative(grid.nodes)
+    return qp * qp, qp, closed_form_table().normQprime_c_sq(1.0)
 
 
 def quadratic_form(op: SymmetricOperator, f: Field) -> float:

@@ -96,15 +96,9 @@ class PotentialSpec:
             v[m] = vm
         return out
 
-    def w(self, s):
-        return self.shape_derivatives(s)[0]
-
-    def w1(self, s):
-        return self.shape_derivatives(s)[1]
-
     def sampled_potential(self, x):
         """V(x) = W(h*x) on physical coordinates x."""
-        return self.w(self.h * np.asarray(x, dtype=float))
+        return self.shape_derivatives(self.h * np.asarray(x, dtype=float))[0]
 
     def shape_key(self):
         """Identity of the shape W alone: `key` without the slow scale h."""
@@ -112,12 +106,6 @@ class PotentialSpec:
 
     def key(self):
         return ("bump", self.h, self.amplitude, self.width)
-
-    def __eq__(self, other):
-        return isinstance(other, PotentialSpec) and other.key() == self.key()
-
-    def __hash__(self):
-        return hash(self.key())
 
     def __repr__(self):
         return (f"PotentialSpec(h={self.h}, bump, amplitude={self.amplitude}, "

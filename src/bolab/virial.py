@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
+from .evolution import EvolutionState, evolve_linearized
 from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
                    dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
 from .operators import SymmetricOperator
@@ -141,7 +142,6 @@ def virial_sweep(run: LinearizedRunSpec, gammas, y0s) -> list:
     if not gammas:
         return []
     _check_initial_orthogonality(run.initial)
-    from .evolution import EvolutionState, evolve_linearized
     res = evolve_linearized(EvolutionState(0.0, run.initial), run.t_end, run.dt,
                             forcing=run.forcing,
                             snapshot_stride=run.snapshot_stride)

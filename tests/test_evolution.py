@@ -2,6 +2,7 @@
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +12,7 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, write_checkpoint)
-from bolab.evolution import (_evolve, _linearized_tables, _pbo_flow, _pbo_tables,
-                             _step_count)
+from bolab.evolution import _evolve, _pbo_flow, _step_count
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -110,7 +110,7 @@ class TestConservation:
         invT = invariants(res.states[-1])
         drift = abs(invT.energy_perturbed - inv0.energy_perturbed)
         assert drift / abs(inv0.energy_perturbed) <= 1e-6
-        vprime = pot.h * pot.w1(pot.h * grid_default.nodes)
+        vprime = pot.h * pot.shape_derivatives(pot.h * grid_default.nodes)[1]
         rates = [0.5 * grid_default.spacing * np.sum(vprime * s.field.values ** 2)
                  for s in res.states]
         predicted = np.trapezoid(rates, res.times)
@@ -248,13 +248,37 @@ def _allocating_step(tables, uh, nonlinear):
     return tables.e_full * uh + tables.w1 * n0 + tables.w2x2 * (na + nb) + tables.w3 * nc
 
 
+def _contour_tables(symbol, dt):
+    """ETDRK4 coefficients (Kassam & Trefethen 2005): each phi-function
+    combination is the mean over 64 points of the unit circle around dt*symbol."""
+    r = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    lr = dt * symbol[:, None] + r[None, :]
+    elr = np.exp(lr)
+    return SimpleNamespace(
+        e_full=np.exp(dt * symbol),
+        e_half=np.exp(0.5 * dt * symbol),
+        stage=dt * ((np.exp(lr / 2) - 1.0) / lr).mean(1),
+        w1=dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3).mean(1),
+        w2x2=2.0 * (dt * ((2.0 + lr + elr * (-2.0 + lr)) / lr ** 3).mean(1)),
+        w3=dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr)) / lr ** 3).mean(1))
+
+
+def _odd_symbol(symbol):
+    """An odd symbol is zero on the Nyquist mode of a real transform."""
+    symbol[-1] = 0.0
+    return symbol
+
+
 def _allocating_pbo_rhs(grid, dt, pot):
     """The pBO right-hand side as one dealiased flux, d_x P(u (V - u/2)).
 
     The free flow keeps the arithmetic of -(1/2) d_x P(u^2): scaling by
     -1/2 is exact, so both forms give the same bits.
     """
-    tables, dflux, v = _pbo_tables(grid, dt, pot)
+    xi = grid.rfft_wavenumbers
+    tables = _contour_tables(_odd_symbol(1j * xi * np.abs(xi)), dt)
+    dflux = np.where(xi <= (2.0 / 3.0) * xi[-1], 1j * xi, 0.0)
+    v = pot.sampled_potential(grid.nodes) if pot is not None else None
     n = grid.n_points
 
     def nonlinear(uh):
@@ -266,13 +290,20 @@ def _allocating_pbo_rhs(grid, dt, pot):
 
 
 def _allocating_linearized_rhs(grid, dt, forcing):
-    tables, dxi, neg_w, qp_hat, lqpp, norm_sq = _linearized_tables(grid, dt)
+    """-d_y(q v) + P v + d_y f around q = 4/(1 + y^2): the exact symbol is
+    i*xi*(1 + |xi|) and P v = <v, (q')^2>/(4 pi) q'."""
+    xi = grid.rfft_wavenumbers
+    tables = _contour_tables(_odd_symbol(1j * xi * (1.0 + np.abs(xi))), dt)
+    dxi = _odd_symbol(1j * xi)
+    qp = profile_derivative(grid.nodes)
+    qp_hat = scipy.fft.rfft(qp)
+    neg_w = -profile(grid.nodes)
     n = grid.n_points
     force = dxi * scipy.fft.rfft(forcing.values)
 
     def nonlinear(vh):
         v = scipy.fft.irfft(vh, n=n)
-        coef = grid.spacing * float(v @ lqpp) / norm_sq
+        coef = grid.spacing * float(v @ (qp * qp)) / (4.0 * np.pi)
         return dxi * scipy.fft.rfft(neg_w * v) + force + coef * qp_hat
     return tables, nonlinear
 
@@ -313,8 +344,8 @@ class TestBufferedStep:
         assert np.array_equal(got, want)
 
     def test_concurrent_runs_own_their_buffers(self):
-        # two runs share one cached table but start from different data:
-        # stage buffers kept in the tables would mix them
+        # two runs of one grid, dt and potential from different data: work
+        # buffers shared between them would mix them
         g = Grid(1024, 256.0)
         pot = PotentialSpec.bump(0.1)
 
@@ -449,7 +480,6 @@ class TestDriver:
             return np.array([s.field.values for s in res.states])
 
         serial = [member(p) for p in pots]
-        _pbo_tables.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -460,12 +490,6 @@ class TestDriver:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
-
-    def test_tables_are_shared_per_grid_dt_and_potential(self, grid_small):
-        first = _pbo_tables(grid_small, 0.01, PotentialSpec.bump(0.1))
-        assert _pbo_tables(Grid(1024, 256.0), 0.01, PotentialSpec.bump(0.1)) is first
-        assert _pbo_tables(grid_small, 0.01, PotentialSpec.bump(0.05)) is not first
-        assert _pbo_tables(grid_small, 0.02, PotentialSpec.bump(0.1)) is not first
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")

@@ -60,6 +60,15 @@ class TestKernelIdentities:
         out = project(qp)
         assert l2_norm(out) <= 1e-10
 
+    def test_projector_weight_is_spectral_l_qpp(self, grid_default):
+        # differentiating L q' = 0 gives L q'' = (q')^2, the closed form the
+        # flow uses; the spectral L q'' on the box stays close to it
+        lqpp, qp, norm_sq = projector_parts(grid_default)
+        assert np.array_equal(lqpp, qp * qp)
+        assert norm_sq == 4.0 * np.pi
+        qpp = Field(grid_default, profile_second_derivative(grid_default.nodes))
+        assert np.max(np.abs(linearized(qpp).values - lqpp)) <= 1e-7
+
     def test_scaled_kernel(self, grid_default):
         c = 1.5
         y = grid_default.nodes

@@ -118,3 +118,50 @@ def test_every_public_name_has_a_caller():
                    if p.name != "__init__.py"]
     assert BENCH_SOURCES
     assert _unreferenced(defining, referencing) == set(UNREFERENCED_ALLOWED)
+
+
+# Functions of the package that keep a functools cache, each with its
+# traffic as cache_info() hits/misses after a run; a cache that no
+# command or workload hits is deleted, and its function builds per call.
+CACHES_ALLOWED = {
+    "_sobolev_weight": "grid: hits/misses 197/1 in `bolab evolve`, 905/1 in "
+                       "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
+                       "in the member-h0.05 workload",
+    "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
+                   "its workload, 24/16 over the test suite",
+}
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _cached_functions(source: str) -> set:
+    """Names of the functions in `source` decorated with lru_cache or cache,
+    bare, called or as an attribute of functools."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = (target.attr if isinstance(target, ast.Attribute)
+                    else getattr(target, "id", None))
+            if name in CACHE_DECORATORS:
+                found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("source, names", [
+    ("import functools\n@functools.lru_cache(maxsize=16)\ndef f(x): pass", {"f"}),
+    ("from functools import lru_cache\n@lru_cache\ndef f(x): pass", {"f"}),
+    ("import functools\n@functools.cache\ndef f(x): pass", {"f"}),
+    ("class C:\n    @staticmethod\n    @functools.lru_cache()\n    def m(x): pass",
+     {"m"}),
+    ("@property\ndef f(self): pass\ndef g(): pass", set()),
+])
+def test_cache_scanner(source, names):
+    assert _cached_functions(source) == names
+
+
+def test_module_caches_have_listed_traffic():
+    found = set().union(*(_cached_functions(p.read_text(encoding="utf-8"))
+                          for p in SOURCES))
+    assert found == set(CACHES_ALLOWED)

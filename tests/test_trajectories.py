@@ -138,14 +138,6 @@ class TestShapeDerivatives:
             assert pot.shape_derivatives(s) == (0.0, 0.0, 0.0, 0.0)
         assert pot.shape_derivatives(0.0)[0] == pytest.approx(0.2 * math.exp(-1.0))
 
-    def test_specs_compare_by_key(self):
-        # the evolution layer caches its tables per potential
-        assert PotentialSpec.bump(0.1) == PotentialSpec.bump(0.1)
-        assert hash(PotentialSpec.bump(0.1)) == hash(PotentialSpec.bump(0.1))
-        assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, amplitude=0.3)
-        assert PotentialSpec.bump(0.1) != PotentialSpec.bump(0.1, width=2.0)
-        assert PotentialSpec.bump(0.1) != "bump"
-
     def test_shape_key_is_key_without_h(self):
         assert PotentialSpec.bump(0.1, 0.3, 1.5).key() == ("bump", 0.1, 0.3, 1.5)
         assert PotentialSpec.bump(0.1, 0.3, 1.5).shape_key() == ("bump", 0.3, 1.5)
