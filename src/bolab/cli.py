@@ -164,6 +164,7 @@ def cmd_theorem_sweep(args, cfg) -> int:
     print(json.dumps({
         "fitted_remainder_order": summary.fitted_remainder_order,
         "fitted_residual_c_order": summary.fitted_residual_c_order,
+        "residual_s_max": summary.residual_s_max,
         "failures": summary.failures,
     }, indent=2))
     rem = summary.fitted_remainder_order

@@ -47,11 +47,13 @@ commutative (it may contract to FMA), so each product keeps the table
 on the left, ``np.multiply(table, x, out=x)``, never ``x *= table``.
 
 Each ``evolve_*`` call owns its tables, its buffers and its right-hand
-side, so concurrent runs share no state.  The linearized flow reads its
-symbol and weight from ``operators.SymmetricOperator.linearized`` and
-its projector from ``operators.projector_parts``, the one definition of
-the operator family; every table takes the Nyquist rule of
-``grid._real_nyquist``.
+side, so concurrent runs share no state.  The tables' contour means are
+built per equal row block of the half axis, so the build's transient
+memory is bounded by one block, not by the whole (N/2+1) x 64 contour
+array.  The linearized flow reads its symbol and weight from
+``operators.SymmetricOperator.linearized`` and its projector from
+``operators.projector_parts``, the one definition of the operator
+family; every table takes the Nyquist rule of ``grid._real_nyquist``.
 """
 
 from __future__ import annotations
@@ -97,25 +99,43 @@ class InvariantReport:
 
 
 _N_CONTOUR = 64                 # quadrature points on each contour circle
+# Fewest rows of a table-build block.  256 rows x 64 points of complex128
+# are 256 KiB, numpy's threshold for reusing an expression's temporaries:
+# from that size on, x * (temporary) is computed in the temporary with the
+# operands swapped, and complex multiply is not bitwise commutative, so a
+# shorter block would round differently from the whole-array formula.
+_BLOCK_ROWS = 256
 
 
 class _Etdrk4Tables:
     """ETDRK4 coefficients for u' = symbol*u + N(u) on one (grid, dt).
 
     Full-circle contour quadrature evaluates the phi-function
-    combinations stably near symbol = 0.
+    combinations stably near symbol = 0.  The four contour means are
+    built per equal row block of the half axis (at least ``_BLOCK_ROWS``
+    rows each), so the build's transient memory is bounded by one block,
+    and every value is bit-identical to the whole-array formula.
     """
 
     def __init__(self, symbol: np.ndarray, dt: float):
         r = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
-        lr = dt * symbol[:, None] + r[None, :]
-        elr = np.exp(lr)
         self.e_full = np.exp(dt * symbol)
         self.e_half = np.exp(0.5 * dt * symbol)
-        self.stage = dt * ((np.exp(lr / 2) - 1.0) / lr).mean(1)
-        self.w1 = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2)) / lr ** 3).mean(1)
-        self.w2x2 = 2.0 * (dt * ((2.0 + lr + elr * (-2.0 + lr)) / lr ** 3).mean(1))
-        self.w3 = dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr)) / lr ** 3).mean(1)
+        self.stage, self.w1, self.w2x2, self.w3 = (
+            np.empty(symbol.shape, dtype=complex) for _ in range(4))
+        start = 0
+        for block in np.array_split(symbol, max(1, symbol.size // _BLOCK_ROWS)):
+            rows = slice(start, start + block.size)
+            start += block.size
+            lr = dt * block[:, None] + r[None, :]
+            elr = np.exp(lr)
+            self.stage[rows] = dt * ((np.exp(lr / 2) - 1.0) / lr).mean(1)
+            self.w1[rows] = dt * ((-4.0 - lr + elr * (4.0 - 3.0 * lr + lr ** 2))
+                                  / lr ** 3).mean(1)
+            self.w2x2[rows] = 2.0 * (dt * ((2.0 + lr + elr * (-2.0 + lr))
+                                           / lr ** 3).mean(1))
+            self.w3[rows] = dt * ((-4.0 - 3.0 * lr - lr ** 2 + elr * (4.0 - lr))
+                                  / lr ** 3).mean(1)
 
     def step_spectrum(self, uh, out, nonlinear, stages) -> None:
         """One ETDRK4 step of the spectrum uh into out; four calls of `nonlinear`.

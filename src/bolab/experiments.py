@@ -140,7 +140,8 @@ def _central_derivative_4(values: np.ndarray, dt: float) -> np.ndarray:
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * dt)
 
 
-def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
+def ode_residuals(track: ParameterTrack, pot: PotentialSpec,
+                  s_max: float | None = None) -> ResidualTable:
     """Residuals of the corrected parameter ODEs along a measured track.
 
     Fourth-order central differences supply (da/dt, dc/dt); the residuals
@@ -149,6 +150,9 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
 
         a' = F_A(ha, c) = c - W(ha) + (h^2/2) W''(ha)/c^2
         c' = h F_C(ha, c) = h c W'(ha) + (h^3/2) W'''(ha)/c.
+
+    With `s_max`, the table and its integrals keep only the samples at
+    slow time s = h t <= s_max.
     """
     if len(track) < 5:
         raise UsageError("need at least 5 track samples for 4th-order differences")
@@ -167,6 +171,9 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
     res_a = adot - rhs_a
     res_c = cdot - h * rhs_c
     ti = t[2:-2]
+    if s_max is not None:
+        keep = h * ti <= s_max
+        ti, res_a, res_c = ti[keep], res_a[keep], res_c[keep]
     integral_a = float(np.trapezoid(np.abs(res_a), ti)) if ti.size > 1 else 0.0
     integral_c = float(np.trapezoid(np.abs(res_c), ti)) if ti.size > 1 else 0.0
     return ResidualTable(times=ti, residual_a=res_a, residual_c=res_c,
@@ -197,8 +204,9 @@ class SweepMember:
     t_end: float
     sup_envelope_ratio: float       # sup_t ||u - q_{a_hat, c_hat}||_{H^1/2} / e^{mu0 h t}
     sup_local_time_norm: float      # sup_n of the time-L2 unit-cell norm of the remainder
-    residual_a_integral: float
+    residual_a_integral: float      # over the sweep's window s = h t <= residual_s_max
     residual_c_integral: float
+    residual_c_integral_full: float     # over the member's own horizon; not gated
     scale_range: tuple
     wall_seconds: float
     csv_track: str
@@ -211,6 +219,7 @@ class RunSummary:
     config: dict
     members: list
     failures: list
+    residual_s_max: float           # common window of the residual integrals
     fitted_remainder_order: float | None
     fitted_remainder_stderr: float | None
     fitted_residual_c_order: float | None
@@ -232,7 +241,10 @@ def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:
     return max(dt_snap, math.floor(t0 / dt_snap) * dt_snap)
 
 
-def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
+def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
+                s_max: float | None) -> SweepMember:
+    """One sweep member; its residual integrals cover s = h t <= s_max
+    (its whole horizon with None)."""
     start = time.perf_counter()
     grid = Grid(cfg.n_points, cfg.domain_length)
     pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
@@ -270,7 +282,7 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
     dt_snap = float(res.times[1] - res.times[0])
     sup_local = float(np.sqrt(np.max(cell_mass * dt_snap)))
 
-    resid = ode_residuals(track, pot)
+    resid = ode_residuals(track, pot, s_max)
     tag = f"h{h:g}".replace(".", "p")
     csv_track = str(out_dir / f"track_{tag}.csv")
     csv_traj = str(out_dir / f"trajectory_{tag}.csv")
@@ -281,6 +293,7 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
         sup_local_time_norm=sup_local,
         residual_a_integral=resid.integral_a,
         residual_c_integral=resid.integral_c,
+        residual_c_integral_full=ode_residuals(track, pot).integral_c,
         scale_range=(float(track.c.min()), float(track.c.max())),
         wall_seconds=time.perf_counter() - start,
         csv_track=csv_track, csv_trajectory=csv_traj)
@@ -289,16 +302,23 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path) -> SweepMember:
 def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Sweep the h list, fit the remainder and residual orders, write reports.
 
-    Individual member failures are recorded and the sweep continues; an
-    empty successful set raises ExperimentError.
+    The residual integrals of every member cover one window of slow time,
+    s = h t <= s_max with s_max the least h T_h over the h list, so the
+    order fit compares the same stretch of W at each h.  Individual
+    member failures are recorded and the sweep continues; an empty
+    successful set raises ExperimentError.
     """
     start = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    s_max = min(h * _horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude,
+                                                      cfg.bump_width), h)
+                for h in cfg.h_list)
     members = []
     failures = []
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [(h, pool.submit(_run_member, cfg, h, out_dir)) for h in cfg.h_list]
+        futures = [(h, pool.submit(_run_member, cfg, h, out_dir, s_max))
+                   for h in cfg.h_list]
         for h, future in futures:
             try:
                 members.append(future.result())
@@ -320,6 +340,7 @@ def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
         config={**asdict(cfg), "h_list": list(cfg.h_list)},
         members=members,
         failures=failures,
+        residual_s_max=s_max,
         fitted_remainder_order=rem_order,
         fitted_remainder_stderr=rem_err,
         fitted_residual_c_order=res_order,

@@ -37,8 +37,22 @@ class DenseOperator:
     grid: Grid
 
     def __post_init__(self):
-        if not np.array_equal(self.matrix, self.matrix.T):
+        if not _is_symmetric(self.matrix):
             raise UsageError("operator matrix is not symmetric")
+
+
+def _is_symmetric(m: np.ndarray) -> bool:
+    """m == m.T exactly, one row block of the upper triangle at a time.
+
+    Rows i:i+128 from the diagonal on are compared with the matching
+    columns, transposed, so the temporary is one block, not n x n.
+    """
+    block = 128
+    n = m.shape[0]
+    if m.shape != (n, n):
+        return False
+    return all(np.array_equal(m[i:i + block, i:], m[i:, i:i + block].T)
+               for i in range(0, n, block))
 
 
 @dataclass

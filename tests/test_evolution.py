@@ -1,6 +1,7 @@
 """Time integration of the perturbed, free, and linearized flows."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, evolve_linearized,
                    evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
                    soliton_field, write_checkpoint)
-from bolab.evolution import _evolve, _pbo_flow, _step_count
+from bolab.evolution import _Etdrk4Tables, _evolve, _pbo_flow, _step_count
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -366,6 +367,37 @@ class TestBufferedStep:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
+
+
+class TestTableBuild:
+    """The row-block build of the contour tables against the whole-array formula."""
+
+    @staticmethod
+    def _symbols(grid):
+        xi = grid.rfft_wavenumbers
+        return {"pbo": _odd_symbol(1j * xi * np.abs(xi)),
+                "linearized": _odd_symbol(1j * xi * (1.0 + np.abs(xi)))}
+
+    @pytest.mark.parametrize("n, length", [(1024, 256.0), (8192, 1024.0)])
+    @pytest.mark.parametrize("dt", [0.01, 0.02, 0.05])
+    def test_tables_bit_identical(self, n, length, dt):
+        for symbol in self._symbols(Grid(n, length)).values():
+            got = _Etdrk4Tables(symbol, dt)
+            want = _contour_tables(symbol, dt)
+            for name in ("e_full", "e_half", "stage", "w1", "w2x2", "w3"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_build_memory_bounded_by_one_block(self):
+        # the whole 4097 x 64 contour array is 4.2 MB per complex temporary,
+        # and a whole-array build peaks at about 20 MB
+        symbol = self._symbols(Grid(8192, 1024.0))["pbo"]
+        tracemalloc.start()
+        try:
+            _Etdrk4Tables(symbol, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
 
 
 class TestPboFlux:

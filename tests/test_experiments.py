@@ -9,7 +9,7 @@ import pytest
 
 from bolab import (ConfigurationError, Decomposition, ExperimentConfig, Field,
                    Grid, ParameterTrack, PotentialSpec, SolitonParams,
-                   ode_residuals, run_theorem_sweep)
+                   fit_scaling_exponent, ode_residuals, run_theorem_sweep)
 from bolab import experiments
 from bolab.experiments import SweepMember, _run_member, parse_config
 
@@ -46,14 +46,15 @@ class TestSweepLoop:
     H_LIST = (0.1, 0.08, 0.05, 0.025)
 
     @staticmethod
-    def _fake_member(cfg, h, out_dir):
+    def _fake_member(cfg, h, out_dir, s_max):
         if h == 0.05:
             raise ValueError("stub failure")
         if h == TestSweepLoop.H_LIST[0]:
             time.sleep(0.05)            # finishes after the members queued behind it
         return SweepMember(h=h, t_end=1.0, sup_envelope_ratio=h ** 1.5,
                            sup_local_time_norm=h, residual_a_integral=h ** 2,
-                           residual_c_integral=h ** 3, scale_range=(1.0, 1.0),
+                           residual_c_integral=h ** 3, residual_c_integral_full=h,
+                           scale_range=(1.0, 1.0),
                            wall_seconds=0.0, csv_track="", csv_trajectory="")
 
     def test_threads_give_same_members_and_failures(self, monkeypatch, tmp_path):
@@ -71,6 +72,7 @@ class TestSweepLoop:
                 "config": s.config,
                 "members": [asdict(m) for m in s.members],
                 "failures": s.failures,
+                "residual_s_max": s.residual_s_max,
                 "fitted_remainder_order": s.fitted_remainder_order,
                 "fitted_remainder_stderr": s.fitted_remainder_stderr,
                 "fitted_residual_c_order": s.fitted_residual_c_order,
@@ -87,7 +89,7 @@ class TestRunMember:
     def test_corrected_ode_starts_from_the_first_fit(self, tmp_path):
         h = 0.2
         cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
-        m = _run_member(cfg, h, tmp_path)
+        m = _run_member(cfg, h, tmp_path, None)
         first_fit = np.loadtxt(m.csv_track, delimiter=",", skiprows=1, max_rows=1)
         start = np.loadtxt(m.csv_trajectory, delimiter=",", skiprows=1, max_rows=1,
                            usecols=(0, 1, 2))
@@ -126,3 +128,40 @@ class TestOdeResiduals:
         assert np.allclose(got.residual_c, res_c, rtol=0, atol=1e-15)
         for value, res in ((got.integral_a, res_a), (got.integral_c, res_c)):
             assert value == pytest.approx(np.trapezoid(np.abs(res), t[2:-2]), rel=1e-10)
+
+    def test_window_keeps_the_samples_up_to_s_max(self):
+        h = 0.05
+        pot = PotentialSpec.bump(h)
+        t = 0.1 * np.arange(200)
+        rest = Field.zeros(Grid(8, 1.0))
+        track = ParameterTrack(times=t, decompositions=[
+            Decomposition(SolitonParams(0.9 * tk, 1.0 + 0.01 * tk), rest, "symplectic",
+                          0, 0.0) for tk in t])
+        full = ode_residuals(track, pot)
+        got = ode_residuals(track, pot, s_max=0.5)
+        keep = h * full.times <= 0.5
+        assert got.times[-1] == pytest.approx(10.0) and keep.sum() < keep.size
+        for name in ("times", "residual_a", "residual_c"):
+            assert np.array_equal(getattr(got, name), getattr(full, name)[keep])
+        assert got.integral_c == np.trapezoid(np.abs(got.residual_c), got.times)
+        assert got.integral_c < full.integral_c
+
+
+class TestResidualWindow:
+    def test_reduced_sweep_fits_the_common_window(self, tmp_path):
+        # The default h list on a 4 x smaller grid.  Over each member's own
+        # horizon (s = h t up to 0.57, 0.745, 0.92) the residual-c integrals
+        # fit an order of 0.95; over the common window s <= 0.57 they fit 2.85.
+        cfg = ExperimentConfig(n_points=2048, domain_length=256.0, out_dir=str(tmp_path))
+        s = run_theorem_sweep(cfg)
+        assert s.failures == []
+        assert s.residual_s_max == pytest.approx(0.1 * 5.7)
+        assert s.fitted_residual_c_order >= 2.7
+        full, _ = fit_scaling_exponent([(m.h, m.residual_c_integral_full)
+                                        for m in s.members])
+        assert full < 1.5
+        # the member that sets the window integrates its whole horizon
+        assert s.members[0].residual_c_integral == s.members[0].residual_c_integral_full
+        written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert (written["members"][2]["residual_c_integral_full"]
+                == s.members[2].residual_c_integral_full)

@@ -128,7 +128,8 @@ CACHES_ALLOWED = {
                        "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
                        "in the member-h0.05 workload",
     "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
-                   "its workload, 24/16 over the test suite",
+                   "its workload, 3/6 in `bolab theorem-sweep`, 24/16 over "
+                   "the test suite",
 }
 CACHE_DECORATORS = {"lru_cache", "cache"}
 

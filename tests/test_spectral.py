@@ -80,10 +80,17 @@ class TestDiscretize:
             assert np.array_equal(got, 0.5 * (raw + raw.T))
 
     def test_asymmetric_matrix_rejected(self, grid_small):
-        m = discretize(SymmetricOperator.linearized(grid_small)).matrix.copy()
-        m[0, 1] = np.nextafter(m[0, 1], np.inf)
+        sym = discretize(SymmetricOperator.linearized(grid_small)).matrix
+        n = grid_small.n_points
+        # one ulp off in the first block, and in the last block (the check
+        # runs per 128-row block) from either side of the diagonal
+        for i, j in ((0, 1), (n - 1, n - 100), (n - 100, n - 1), (5, n - 2)):
+            m = sym.copy()
+            m[i, j] = np.nextafter(m[i, j], np.inf)
+            with pytest.raises(UsageError):
+                DenseOperator(m, grid_small)
         with pytest.raises(UsageError):
-            DenseOperator(m, grid_small)
+            DenseOperator(sym[:, :-1], grid_small)
 
     def test_virial_matrix_identity(self, grid_small):
         # virial matrix = linearized matrix + |xi| part - diag((yq)' - q)
