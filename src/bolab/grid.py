@@ -258,6 +258,31 @@ def _spectrum_sobolev_norm(spec, g: Grid, s: float) -> float:
     return float(np.sqrt(total))
 
 
+@functools.lru_cache(maxsize=16)
+def _cell_layout(g: Grid):
+    """Read-only index arrays of `cell_l2_profile` on grid g.
+
+    Returns (cells, starts, boundary): each node's cell index counted from
+    the first cell, the cells' integer left ends, and, when cell
+    boundaries fall on nodes, (nodes on a boundary, their cells, those
+    nodes with a cell to their left, that left cell); None otherwise.
+    """
+    x = g.nodes
+    per = 1.0 / g.spacing
+    n_lo = int(np.floor(x[0]))
+    cells = np.floor(x).astype(int) - n_lo
+    starts = n_lo + np.arange(int(np.floor(x[-1])) - n_lo + 1)
+    boundary = None
+    if (abs(per - round(per)) < 1e-9
+            and abs(x[0] - round(x[0])) < 1e-9 * max(1.0, abs(x[0]))):
+        idx = np.arange(0, g.n_points, int(round(per)))
+        left = cells[idx] - 1
+        boundary = (idx, cells[idx], idx[left >= 0], left[left >= 0])
+    for arr in (cells, starts, *(boundary or ())):
+        arr.setflags(write=False)
+    return cells, starts, boundary
+
+
 def cell_l2_profile(f: Field):
     """Per-unit-cell L2 norms: values ||f||_{L2[n, n+1)} for integer n.
 
@@ -265,29 +290,19 @@ def cell_l2_profile(f: Field):
     quadrature is the per-cell trapezoid rule (cell boundaries fall on
     nodes); otherwise samples are binned with uniform weight.
 
-    Returns (cell_starts, cell_norms) as arrays.
+    Returns (cell_starts, cell_norms) as arrays; cell_starts is read-only.
     """
     g = f.grid
-    x = g.nodes
+    cells, starts, boundary = _cell_layout(g)
     v2 = f.values ** 2
-    per = 1.0 / g.spacing
-    n_lo = int(np.floor(x[0]))
-    cells = np.floor(x).astype(int) - n_lo
-    n_cells = int(np.floor(x[-1])) - n_lo + 1
-    masses = np.bincount(cells, weights=v2, minlength=n_cells) * g.spacing
-    aligned = (abs(per - round(per)) < 1e-9
-               and abs(x[0] - round(x[0])) < 1e-9 * max(1.0, abs(x[0])))
-    if aligned:
+    masses = np.bincount(cells, weights=v2, minlength=starts.size) * g.spacing
+    if boundary is not None:
         # trapezoid correction: boundary nodes carry half weight in each cell
-        k = int(round(per))
-        idx = np.arange(0, g.n_points, k)   # nodes sitting on cell boundaries
-        contrib = 0.5 * g.spacing * v2[idx]
-        masses[cells[idx]] -= contrib
-        left = cells[idx] - 1
-        np.add.at(masses, left[left >= 0], contrib[left >= 0])
+        idx, own, inner_idx, left = boundary
+        masses[own] -= 0.5 * g.spacing * v2[idx]
+        masses[left] += 0.5 * g.spacing * v2[inner_idx]
         # the last cell's right boundary is the (periodic) first node
         masses[-1] += 0.5 * g.spacing * v2[0]
-    starts = n_lo + np.arange(n_cells)
     return starts, np.sqrt(np.maximum(masses, 0.0))
 
 

@@ -52,6 +52,7 @@ class TestSweepLoop:
         if h == TestSweepLoop.H_LIST[0]:
             time.sleep(0.05)            # finishes after the members queued behind it
         return SweepMember(h=h, t_end=1.0, sup_envelope_ratio=h ** 1.5,
+                           sup_envelope_time=0.0, envelope_ratio_t0=h ** 1.5,
                            sup_local_time_norm=h, residual_a_integral=h ** 2,
                            residual_c_integral=h ** 3, residual_c_integral_full=h,
                            scale_range=(1.0, 1.0),
@@ -114,7 +115,7 @@ class TestOdeResiduals:
         c = 1.0 + 0.1 * np.sin(0.05 * t)
         rest = Field.zeros(Grid(8, 1.0))
         track = ParameterTrack(times=t, decompositions=[
-            Decomposition(SolitonParams(ak, ck), rest, "symplectic", 0, 0.0)
+            Decomposition(SolitonParams(ak, ck), rest, 0, 0.0)
             for ak, ck in zip(a, c)])
         got = ode_residuals(track, pot)
 
@@ -135,8 +136,8 @@ class TestOdeResiduals:
         t = 0.1 * np.arange(200)
         rest = Field.zeros(Grid(8, 1.0))
         track = ParameterTrack(times=t, decompositions=[
-            Decomposition(SolitonParams(0.9 * tk, 1.0 + 0.01 * tk), rest, "symplectic",
-                          0, 0.0) for tk in t])
+            Decomposition(SolitonParams(0.9 * tk, 1.0 + 0.01 * tk), rest, 0, 0.0)
+            for tk in t])
         full = ode_residuals(track, pot)
         got = ode_residuals(track, pot, s_max=0.5)
         keep = h * full.times <= 0.5
@@ -165,3 +166,7 @@ class TestResidualWindow:
         written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert (written["members"][2]["residual_c_integral_full"]
                 == s.members[2].residual_c_integral_full)
+        # the seeded ratio's sup sits at t = 0 in every member
+        for m, w in zip(s.members, written["members"]):
+            assert (w["sup_envelope_time"], w["envelope_ratio_t0"]) == (
+                0.0, m.sup_envelope_ratio)

@@ -236,6 +236,40 @@ class TestLocalSupNorm:
         _, norms = cell_l2_profile(f)
         assert np.sqrt(np.sum(norms**2)) == pytest.approx(l2_norm(f), rel=1e-10)
 
+    @staticmethod
+    def _direct_cell_profile(f):
+        # reference: every index array worked out from the nodes on each call
+        g, x = f.grid, f.grid.nodes
+        v2 = f.values ** 2
+        per = 1.0 / g.spacing
+        n_lo = int(np.floor(x[0]))
+        cells = np.floor(x).astype(int) - n_lo
+        n_cells = int(np.floor(x[-1])) - n_lo + 1
+        masses = np.bincount(cells, weights=v2, minlength=n_cells) * g.spacing
+        if (abs(per - round(per)) < 1e-9
+                and abs(x[0] - round(x[0])) < 1e-9 * max(1.0, abs(x[0]))):
+            idx = np.arange(0, g.n_points, int(round(per)))
+            contrib = 0.5 * g.spacing * v2[idx]
+            masses[cells[idx]] -= contrib
+            left = cells[idx] - 1
+            np.add.at(masses, left[left >= 0], contrib[left >= 0])
+            masses[-1] += 0.5 * g.spacing * v2[0]
+        return n_lo + np.arange(n_cells), np.sqrt(np.maximum(masses, 0.0))
+
+    # aligned at 8 and 4 nodes per cell; 10.24 nodes per cell; 64 nodes per
+    # cell with the first node off the integers
+    @pytest.mark.parametrize("n, length", [(8192, 1024.0), (512, 128.0),
+                                           (1024, 100.0), (64, 1.0)])
+    def test_cell_layout_gives_the_direct_profile(self, n, length):
+        g = Grid(n, length)
+        f = random_band_limited(g, np.random.default_rng(n))
+        want_starts, want = self._direct_cell_profile(f)
+        for _ in range(2):          # a miss, then a hit of the per-grid layout
+            starts, norms = cell_l2_profile(f)
+            assert np.array_equal(starts, want_starts)
+            assert np.array_equal(norms, want)
+        assert not starts.flags.writeable
+
 
 class TestLocalizer:
     def test_center_value_and_oddness(self, grid_small):

@@ -13,7 +13,7 @@ from bolab.soliton import (periodic_profile, periodic_profile_hilbert, profile,
 
 def _family_derivatives(grid, p):
     """(d_a q_{a,c}, d_c q_{a,c}): the fields the Newton fit samples."""
-    _, (d_a_m1, _), (d_c_m1, _) = _constraint_fields(grid, p.a, p.c, "symplectic")
+    _, (d_a_m1, _), (d_c_m1, _) = _constraint_fields(grid, p.a, p.c)
     return d_a_m1, d_c_m1
 
 

@@ -127,6 +127,8 @@ CACHES_ALLOWED = {
     "_sobolev_weight": "grid: hits/misses 197/1 in `bolab evolve`, 905/1 in "
                        "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
                        "in the member-h0.05 workload",
+    "_cell_layout": "grid: hits/misses 65/1 in `bolab evolve`, 1153/1 in "
+                    "`bolab theorem-sweep`, 299/1 in the member-h0.05 workload",
     "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
                    "its workload, 3/6 in `bolab theorem-sweep`, 24/16 over "
                    "the test suite",
