@@ -7,7 +7,7 @@ Submodules, roughly bottom-up:
     soliton       the soliton family, eigenfunctions, exact integral table
     potential     the slowly varying bump potential V(x) = W(hx)
     operators     the symmetric operators around the soliton, commutator probe
-    spectral      symmetric dense matrices, spectra, constrained coercivity
+    spectral      matrix-free spectra and constrained coercivity (ARPACK)
     evolution     perturbed / free / linearized time integration
     modulation    soliton-parameter extraction and tracking
     trajectories  reference and corrected parameter ODE systems
@@ -30,8 +30,7 @@ from .soliton import (ClosedFormTable, SolitonParams, closed_form_table,
 from .potential import PotentialSpec
 from .operators import (CommutatorProbeResult, SymmetricOperator,
                         commutator_probe, quadratic_form)
-from .spectral import (DenseOperator, EigenReport, angle_lemma_bound,
-                       constrained_min_rayleigh, discretize,
+from .spectral import (EigenReport, angle_lemma_bound, constrained_min_rayleigh,
                        spectrum_below_continuum)
 from .evolution import (EvolutionState, InvariantReport, evolve_linearized,
                         evolve_pbo, invariants, read_checkpoint, write_checkpoint)

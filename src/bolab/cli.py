@@ -2,7 +2,7 @@
 
 Subcommands:
     identities     soliton identity and integral-table checks
-    spectrum       dense eigen-report of the linearized operator (JSON)
+    spectrum       eigen-report of the linearized operator, matrix-free (JSON)
     evolve         potential-perturbed evolution with invariant monitoring
     trajectories   reference/corrected parameter ODEs + comparison (CSV)
     theorem-sweep  h-sweep with remainder/residual order fits (JSON + CSV)
@@ -37,7 +37,7 @@ from .soliton import (SolitonParams, closed_form_table,
                       periodic_profile_hilbert, profile, profile_derivative,
                       profile_second_derivative, scaled_profile, soliton_field,
                       soliton_residual)
-from .spectral import discretize, spectrum_below_continuum
+from .spectral import spectrum_below_continuum
 from .trajectories import (convert_frame, gronwall_sweep, integrate_exact,
                            integrate_reference, write_trajectory_csv)
 from .virial import LinearizedRunSpec, virial_sweep
@@ -81,8 +81,8 @@ def cmd_identities(args, cfg) -> int:
 
 def cmd_spectrum(args, cfg) -> int:
     grid = Grid(args.n, args.length)
-    op = discretize(SymmetricOperator.linearized(grid))
-    report = spectrum_below_continuum(op, threshold=1.0, margin=args.margin)
+    report = spectrum_below_continuum(SymmetricOperator.linearized(grid),
+                                      threshold=1.0, margin=args.margin)
     payload = {
         "schema_version": 1,
         "operator": "linearized",
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--length", type=float, default=1024.0)
     s.set_defaults(fn=cmd_identities)
 
-    s = sub.add_parser("spectrum", help="dense eigen-report of the linearized operator")
+    s = sub.add_parser("spectrum", help="matrix-free eigen-report of the linearized operator")
     s.add_argument("--n", type=int, default=2048)
     s.add_argument("--length", type=float, default=512.0)
     s.add_argument("--margin", type=float, default=0.1)

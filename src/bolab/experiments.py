@@ -241,6 +241,17 @@ def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:
     return max(dt_snap, math.floor(t0 / dt_snap) * dt_snap)
 
 
+def _residual_reach(cfg: ExperimentConfig, h: float) -> float:
+    """s = h t of the member's last residual sample.
+
+    `ode_residuals` drops the last two snapshots, so that sample is the
+    third-to-last snapshot, T_h - 2 dt_snap, read as the evolution clocks
+    it (k dt after k steps) so that the member's own sample compares equal.
+    """
+    t_end = _horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width), h)
+    return h * ((round(t_end / cfg.dt) - 2 * cfg.snapshot_stride) * cfg.dt)
+
+
 def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
                 s_max: float | None) -> SweepMember:
     """One sweep member; its residual integrals cover s = h t <= s_max
@@ -305,17 +316,15 @@ def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Sweep the h list, fit the remainder and residual orders, write reports.
 
     The residual integrals of every member cover one window of slow time,
-    s = h t <= s_max with s_max the least h T_h over the h list, so the
-    order fit compares the same stretch of W at each h.  Individual
-    member failures are recorded and the sweep continues; an empty
-    successful set raises ExperimentError.
+    s = h t <= s_max with s_max the least reach h (T_h - 2 dt_snap) of the
+    residual samples over the h list, so the order fit compares the same
+    stretch of W at each h.  Individual member failures are recorded and
+    the sweep continues; an empty successful set raises ExperimentError.
     """
     start = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    s_max = min(h * _horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude,
-                                                      cfg.bump_width), h)
-                for h in cfg.h_list)
+    s_max = min(_residual_reach(cfg, h) for h in cfg.h_list)
     members = []
     failures = []
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:

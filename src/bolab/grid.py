@@ -11,8 +11,7 @@ fields is preserved structurally.  Every transform in the package calls
 comes from ``numpy.fft``.  A symbol keeps only its real part on the
 Nyquist mode, the unique choice consistent with a real transform, so odd
 symbols (i*sgn(xi), i*xi) are zero there; `_real_nyquist` is that rule's
-one home, for the multipliers here, the ETDRK4 tables and the dense
-matrices alike.
+one home, for the multipliers here and the ETDRK4 tables alike.
 """
 
 from __future__ import annotations

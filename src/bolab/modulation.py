@@ -140,9 +140,9 @@ def decompose(u: Field, regime: str, guess: SolitonParams) -> Decomposition:
     else:
         raise DecompositionError(
             f"Newton did not converge within {MAX_NEWTON_ITERS} iterations")
-    # the loop left through a test: zeta, g1, g2, m1n and m2n belong to
-    # the final (a, c)
-    rem_norm = max(l2_norm(translate(Field(grid, zeta), a)), 1e-300)
+    # the loop left through a test: g1, g2, m1n, m2n and zn, the remainder's
+    # L2 norm, belong to the final (a, c)
+    rem_norm = max(zn, 1e-300)
     res = max(abs(g1) / (m1n * rem_norm + 1e-300), abs(g2) / (m2n * rem_norm + 1e-300))
     return Decomposition(params=SolitonParams(a=a, c=c), field=u,
                          newton_iters=iters, residual=res)

@@ -10,18 +10,20 @@ coefficient k, weight samples w) on a grid, read as c0 f + k |D| f - w f:
 * ``SymmetricOperator.virial(grid)``:  2D + I - (y q)', the quadratic
   form arising in the localized virial identity, the triple (1, 2, (y q)').
 
-`SymmetricOperator.apply`, `quadratic_form`, the dense matrix of
-`spectral.discretize` and the linearized flow of `evolution` all read
-the triple.  The rank-one projector P f = <f, L q''>/||q'||^2 q' of the
-linearized flow is not symmetric; its parts (L q'', q', ||q'||^2) come
-from ``projector_parts`` alone.  The dual variable of the virial
+`SymmetricOperator.apply`, `quadratic_form`, the ARPACK maps of
+`spectral` and the linearized flow of `evolution` all read the triple.
+The rank-one projector P f = <f, L q''>/||q'||^2 q' of the linearized
+flow is not symmetric; its parts (L q'', q', ||q'||^2) come from
+``projector_parts`` alone.  The dual variable of the virial
 estimate, (1 + gamma d/dy)^{-1} L f, is `grid.dgamma_inverse` of L f.
 
 The commutator probe measures the operator that the regularized inverse
 fails to commute with the soliton-weighted linearized operator by.  Its
 maps are built from the grid's multiplier operators and the linearized
 operator; its norm is the top singular value from ARPACK
-(`scipy.sparse.linalg.svds`).
+(`scipy.sparse.linalg.svds`).  `run_arpack` is the one call into ARPACK
+for this module and `spectral`: a fixed start vector, and every ARPACK
+failure as a DiagnosticError that carries what did converge.
 """
 
 from __future__ import annotations
@@ -91,25 +93,35 @@ def quadratic_form(op: SymmetricOperator, f: Field) -> float:
 BAND_FRACTION = 0.5
 
 
+def run_arpack(solver, op: LinearOperator, what: str, partial, **kwargs):
+    """`solver(op, v0=v0, **kwargs)` for an ARPACK solver of scipy.sparse.linalg.
+
+    v0 is one fixed standard-normal draw, so repeated calls give the same
+    bits.  Any ARPACK failure, non-convergence or the zero start vector of
+    a zero map, raises DiagnosticError naming `what`; its partial value is
+    `partial` of the eigenvalues that did converge, or None when none did.
+    """
+    v0 = np.random.default_rng(0).standard_normal(op.shape[0])
+    try:
+        return solver(op, v0=v0, **kwargs)
+    except ArpackError as exc:
+        eigs = getattr(exc, "eigenvalues", None)
+        value = (partial(np.asarray(eigs, dtype=float))
+                 if eigs is not None and np.size(eigs) else None)
+        raise DiagnosticError(f"{what} not found: {exc}", partial=value) from exc
+
+
 def top_singular_value(forward, adjoint, n: int) -> float:
     """Largest singular value of a linear map on length-n sample vectors.
 
-    ARPACK (`scipy.sparse.linalg.svds`, tol 1e-7) works on A*A from a
-    fixed start vector, so repeated calls give the same bits.  Any ARPACK
-    failure, non-convergence or the zero start vector of a zero map,
-    raises DiagnosticError; its partial value is the square root of the
-    largest converged eigenvalue of A*A, or None when none converged.
+    ARPACK (`scipy.sparse.linalg.svds`, tol 1e-7) works on A*A through
+    `run_arpack`; a failure's partial value is the square root of the
+    largest converged eigenvalue of A*A.
     """
     op = LinearOperator((n, n), matvec=forward, rmatvec=adjoint, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        sigma = svds(op, k=1, tol=1e-7, v0=v0, return_singular_vectors=False)
-    except ArpackError as exc:
-        eigs = getattr(exc, "eigenvalues", None)
-        partial = (math.sqrt(max(float(np.max(eigs)), 0.0))
-                   if eigs is not None and np.size(eigs) else None)
-        raise DiagnosticError(f"top singular value not found: {exc}",
-                              partial=partial) from exc
+    sigma = run_arpack(svds, op, "top singular value",
+                       lambda eigs: math.sqrt(max(float(np.max(eigs)), 0.0)),
+                       k=1, tol=1e-7, return_singular_vectors=False)
     return float(sigma[0])
 
 
@@ -183,11 +195,3 @@ def commutator_probe(gamma: float, grid: Grid | None = None) -> CommutatorProbeR
     return CommutatorProbeResult(gamma=gamma, norm=norm, reference_scale=ref,
                                  ratio=norm / ref, grid_key=grid.key())
 
-
-def commutator_matrix(grid: Grid, gamma: float) -> np.ndarray:
-    """Dense matrix of the probed commutator; cross-check oracle for small grids."""
-    if grid.n_points > 2048:
-        raise ConfigurationError("dense commutator assembly capped at n = 2048")
-    forward, _ = _commutator_maps(grid, gamma)
-    cols = [forward(col) for col in np.eye(grid.n_points)]
-    return np.stack(cols, axis=1)

@@ -1,12 +1,14 @@
-"""Dense discretization, eigen-analysis, and constrained coercivity.
+"""Matrix-free eigen-analysis and constrained coercivity.
 
-A symmetric operator on n grid points becomes an n x n matrix that is
-symmetric by construction (its multiplier is the circulant of the even
-part of its first column), and `DenseOperator` accepts no other; with
-the uniform quadrature weight, matrix symmetry and L2 self-adjointness
-coincide, so plain symmetric eigensolvers apply.  Constrained Rayleigh
-quotients are computed exactly on the orthogonal complement of the
-constraint span (null-space basis + dense (generalized) eigensolve).
+Every value here comes from ARPACK (`scipy.sparse.linalg.eigsh`, through
+`operators.run_arpack`) on a `LinearOperator` whose matvec is the
+operator's own `apply`, so no n x n array is formed.  The operator is a
+`SymmetricOperator` or anything with a `.grid` and an `.apply` that is
+symmetric in L2; with the uniform quadrature weight, L2 self-adjointness
+and symmetry on the sample vectors coincide, which `eigsh` relies on.
+Constrained Rayleigh quotients are the smallest eigenvalue of the
+operator compressed to the orthogonal complement of the constraints,
+with the constraint directions shifted above that minimum.
 """
 
 from __future__ import annotations
@@ -15,44 +17,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-from scipy.linalg import circulant, eigh, null_space
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigurationError, UsageError
-from .grid import Field, Grid, _real_nyquist, inner, l2_norm
-from .operators import SymmetricOperator
+from .grid import Field, apply_multiplier, inner, l2_norm
+from .operators import run_arpack
 
-DENSE_BUDGET = 4096
-
-
-@dataclass(frozen=True)
-class DenseOperator:
-    """Symmetric matrix of an operator on a specific grid.
-
-    A matrix that is not exactly symmetric raises UsageError, so `eigh`
-    never reads half of an asymmetric matrix.
-    """
-
-    matrix: np.ndarray
-    grid: Grid
-
-    def __post_init__(self):
-        if not _is_symmetric(self.matrix):
-            raise UsageError("operator matrix is not symmetric")
-
-
-def _is_symmetric(m: np.ndarray) -> bool:
-    """m == m.T exactly, one row block of the upper triangle at a time.
-
-    Rows i:i+128 from the diagonal on are compared with the matching
-    columns, transposed, so the temporary is one block, not n x n.
-    """
-    block = 128
-    n = m.shape[0]
-    if m.shape != (n, n):
-        return False
-    return all(np.array_equal(m[i:i + block, i:], m[i:, i:i + block].T)
-               for i in range(0, n, block))
+# the first number of eigenvalues `spectrum_below_continuum` asks for: 21
+# lie at or below 1.1 on the `spectrum` default grid (2048, 512), so one
+# call covers it; (8192, 1024) takes a second, with k = 64
+_FIRST_K = 32
 
 
 @dataclass
@@ -66,76 +40,59 @@ class EigenReport:
     warnings: list = field(default_factory=list)
 
 
-def _multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
-    """Dense matrix of a Fourier multiplier: the circulant of its first column.
-
-    A multiplier commutes with translation, so column j is column 0 moved
-    down j rows, and column 0, the image of the unit vector at node 0,
-    is the irfft of the symbol.
-    """
-    return circulant(scipy.fft.irfft(_real_nyquist(rfft_symbol), n=grid.n_points))
+def _sample_map(n: int, matvec) -> LinearOperator:
+    """A LinearOperator on length-n sample vectors; it flattens the (n, 1)
+    columns a LinearOperator may pass."""
+    return LinearOperator((n, n), matvec=lambda v: matvec(np.ravel(v)), dtype=float)
 
 
-def _even_multiplier_matrix(grid: Grid, rfft_symbol) -> np.ndarray:
-    """Symmetric matrix of a real symbol: the circulant of the even part of its column.
-
-    The column is even up to rounding; its even part 0.5 (col[j] + col[-j])
-    makes the circulant exactly symmetric and equal to 0.5 (m + m^T) of
-    the raw circulant m, without an n x n temporary.
-    """
-    col = scipy.fft.irfft(_real_nyquist(rfft_symbol), n=grid.n_points)
-    return circulant(0.5 * (col + np.roll(col[::-1], 1)))
+def _apply_values(op, v: np.ndarray) -> np.ndarray:
+    return op.apply(Field(op.grid, v)).values
 
 
-def discretize(op: SymmetricOperator) -> DenseOperator:
-    """Assemble the dense matrix c0 I + k M - diag(w) of a symmetric operator.
-
-    (c0, k, w) is the operator's triple (linearized(c) = (c, 1, c q(c y)),
-    virial = (1, 2, (y q)')) and M the symmetric matrix of the |xi|
-    multiplier.
-    """
-    grid = op.grid
-    if grid.n_points > DENSE_BUDGET:
-        raise ConfigurationError(
-            f"dense discretization capped at n = {DENSE_BUDGET}, got {grid.n_points}")
-    # in place in M: no further n x n temporaries (32 MB each at n = 2048)
-    m = _even_multiplier_matrix(grid, grid.rfft_wavenumbers)
-    m *= op.k
-    diag = np.diag_indices(grid.n_points)
-    m[diag] = op.c0 + m[diag] - op.w
-    return DenseOperator(m, grid)
-
-
-def sobolev_gram_matrix(grid: Grid, s: float) -> np.ndarray:
-    """Dense Gram matrix of the H^s inner product: multiplier <xi>^{2s}."""
-    return _even_multiplier_matrix(grid, (1.0 + grid.rfft_wavenumbers ** 2) ** s)
-
-
-def spectrum_below_continuum(op: DenseOperator, threshold: float,
-                             margin: float = 0.1) -> EigenReport:
+def spectrum_below_continuum(op, threshold: float, margin: float = 0.1) -> EigenReport:
     """Isolated eigenvalues below threshold - margin, with L2-normalized eigenvectors.
 
     Eigenvalues inside [threshold - margin, threshold + margin] are
     reported as edge-ambiguous; they cannot be told apart from the
     discretized continuum at finite resolution.  A warning is attached
     when no clear spectral gap separates the discrete set from the rest.
+    The smallest k eigenvalues come from `eigsh`, k doubling from
+    _FIRST_K until the largest exceeds threshold + margin, so every value
+    up to there and the next one are found.  A grid on which ARPACK's
+    largest k (n - 1) does not get there raises ConfigurationError.
     """
-    vals, vecs = np.linalg.eigh(op.matrix)
+    grid = op.grid
+    n = grid.n_points
+    lin = _sample_map(n, lambda v: _apply_values(op, v))
+    k = min(_FIRST_K, n - 1)
+    while True:
+        vals, vecs = run_arpack(eigsh, lin, "eigenvalues below the continuum",
+                                lambda eigs: sorted(float(v) for v in eigs),
+                                k=k, which="SA")
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        if vals[-1] > threshold + margin:
+            break
+        if k == n - 1:
+            raise ConfigurationError(
+                f"all {k} eigenvalues ARPACK returns on {n} points lie at or "
+                f"below threshold + margin = {threshold + margin}")
+        k = min(2 * k, n - 1)
     keep = vals < threshold - margin
     idx = np.nonzero(keep)[0]
-    scale = 1.0 / math.sqrt(op.grid.spacing)   # unit L2 norm on the grid
+    scale = 1.0 / math.sqrt(grid.spacing)   # unit L2 norm on the grid
     fields = []
     for i in idx:
         v = vecs[:, i] * scale
         j = np.argmax(np.abs(v))
         if v[j] < 0:
             v = -v
-        fields.append(Field(op.grid, v))
+        fields.append(Field(grid, v))
     ambiguous = [float(v) for v in vals if threshold - margin <= v <= threshold + margin]
     warnings = []
     if idx.size:
-        nxt = vals[idx[-1] + 1] if idx[-1] + 1 < vals.size else np.inf
-        gap = nxt - vals[idx[-1]]
+        gap = vals[idx[-1] + 1] - vals[idx[-1]]
         if gap < margin / 2:
             warnings.append(
                 f"no clear spectral gap at threshold {threshold}: gap {gap:.3e}")
@@ -148,66 +105,52 @@ def spectrum_below_continuum(op: DenseOperator, threshold: float,
     )
 
 
-def parity_restriction(op: DenseOperator, parity: str):
-    """Restrict a symmetric operator matrix to the odd or even subspace.
-
-    Returns (reduced_matrix, basis) with basis columns orthonormal in
-    sample coordinates; reduced = basis.T @ M @ basis.
-    """
-    if parity not in ("odd", "even"):
-        raise UsageError(f"parity must be 'odd' or 'even', got {parity!r}")
-    n = op.grid.n_points
-    refl = (n - np.arange(n)) % n        # j -> index of -y_j
-    cols = []
-    s = 1.0 / math.sqrt(2.0)
-    for j in range(1, n // 2):
-        e = np.zeros(n)
-        if parity == "odd":
-            e[j], e[refl[j]] = s, -s
-        else:
-            e[j], e[refl[j]] = s, s
-        cols.append(e)
-    if parity == "even":
-        for j in (0, n // 2):            # fixed points of the reflection
-            e = np.zeros(n)
-            e[j] = 1.0
-            cols.append(e)
-    basis = np.stack(cols, axis=1)
-    reduced = basis.T @ op.matrix @ basis
-    return reduced, basis
-
-
 _NORM_EXPONENT = {"L2": 0.0, "Hhalf": 0.5, "H1": 1.0}
 
 
-def constrained_min_rayleigh(op: DenseOperator, constraints, norm: str = "L2") -> float:
+def constrained_min_rayleigh(op, constraints, norm: str = "L2") -> float:
     """Minimum of <op f, f>/||f||_norm^2 over f L2-orthogonal to the constraints.
 
-    The constraint complement is built explicitly (null space of the
-    constraint Gram system) and the reduced pencil is solved densely;
-    norms other than L2 enter through the <xi>^{2s} Gram matrix.
+    With B the <xi>^{2s} multiplier of the norm (the identity for L2) and
+    f = B^{-1/2} g, f is orthogonal to a constraint c iff g is orthogonal
+    to B^{-1/2} c, and the quotient is that of M = B^{-1/2} op B^{-1/2}
+    at g.  The minimum is then the smallest eigenvalue (`eigsh`, k = 1)
+    of P M P + sigma (I - P), with P the orthogonal projector off the
+    B^{-1/2} constraints.  sigma is one more than the quotient of M at a
+    fixed random vector of the complement, an upper bound of the minimum,
+    so the constraint directions never hold the smallest eigenvalue.
     """
     if norm not in _NORM_EXPONENT:
         raise UsageError(f"norm must be one of {sorted(_NORM_EXPONENT)}, got {norm!r}")
-    cols = []
-    for c in constraints:
-        v = c.values if isinstance(c, Field) else np.asarray(c, dtype=float)
-        cols.append(v)
+    grid = op.grid
+    cols = [c.values if isinstance(c, Field) else np.asarray(c, dtype=float)
+            for c in constraints]
     cmat = np.stack(cols, axis=1)
-    gram = cmat.T @ cmat
-    if np.linalg.cond(gram) > 1e12:
+    if np.linalg.cond(cmat.T @ cmat) > 1e12:
         raise UsageError("constraint Gram matrix is numerically singular")
-    z = null_space(cmat.T)
-    a_red = z.T @ op.matrix @ z
-    a_red = 0.5 * (a_red + a_red.T)
-    s = _NORM_EXPONENT[norm]
-    if s == 0.0:
-        vals = eigh(a_red, eigvals_only=True, subset_by_index=[0, 0])
-    else:
-        b = sobolev_gram_matrix(op.grid, s)
-        b_red = z.T @ b @ z
-        b_red = 0.5 * (b_red + b_red.T)
-        vals = eigh(a_red, b_red, eigvals_only=True, subset_by_index=[0, 0])
+    symbol = (1.0 + grid.rfft_wavenumbers ** 2) ** (-0.5 * _NORM_EXPONENT[norm])
+
+    def b_inv_half(v):
+        return apply_multiplier(Field(grid, v), symbol).values
+
+    basis, _ = np.linalg.qr(np.stack([b_inv_half(c) for c in cols], axis=1))
+
+    def project(v):
+        return v - basis @ (basis.T @ v)
+
+    def compressed(pv):                 # P M pv for pv = P v
+        return project(b_inv_half(_apply_values(op, b_inv_half(pv))))
+
+    def shifted(v):
+        pv = project(v)
+        return compressed(pv) + sigma * (v - pv)
+
+    n = grid.n_points
+    g = project(np.random.default_rng(0).standard_normal(n))
+    sigma = float(g @ compressed(g)) / float(g @ g) + 1.0
+    vals = run_arpack(eigsh, _sample_map(n, shifted), "constrained minimum",
+                      lambda eigs: float(np.min(eigs)),
+                      k=1, which="SA", return_eigenvectors=False)
     return float(vals[0])
 
 

@@ -31,3 +31,9 @@ def random_band_limited(grid, rng, max_mode_frac=0.25, n_modes=40, envelope=None
         vals = vals * envelope(grid.nodes)
     vals /= max(np.max(np.abs(vals)), 1e-300)
     return Field(grid, vals)
+
+
+def dense_oracle(matvec, n):
+    """The n x n matrix of a linear map on length-n sample vectors: its
+    images of the identity columns, the reference for matrix-free solvers."""
+    return np.stack([matvec(col) for col in np.eye(n)], axis=1)

@@ -148,25 +148,48 @@ class TestOdeResiduals:
         assert got.integral_c < full.integral_c
 
 
+@pytest.fixture(scope="module")
+def reduced_sweep(tmp_path_factory):
+    """The default h list on a 4 x smaller grid, and its output directory."""
+    out = tmp_path_factory.mktemp("reduced_sweep")
+    cfg = ExperimentConfig(n_points=2048, domain_length=256.0, out_dir=str(out))
+    return cfg, run_theorem_sweep(cfg), out
+
+
 class TestResidualWindow:
-    def test_reduced_sweep_fits_the_common_window(self, tmp_path):
-        # The default h list on a 4 x smaller grid.  Over each member's own
-        # horizon (s = h t up to 0.57, 0.745, 0.92) the residual-c integrals
-        # fit an order of 0.95; over the common window s <= 0.57 they fit 2.85.
-        cfg = ExperimentConfig(n_points=2048, domain_length=256.0, out_dir=str(tmp_path))
-        s = run_theorem_sweep(cfg)
+    def test_reduced_sweep_fits_the_common_window(self, reduced_sweep):
+        # Over each member's own horizon (s = h t up to 0.57, 0.745, 0.92)
+        # the residual-c integrals fit an order of 0.95; over the common
+        # window s <= 0.55, the h = 0.1 member's last residual sample, 2.94.
+        _, s, out = reduced_sweep
         assert s.failures == []
-        assert s.residual_s_max == pytest.approx(0.1 * 5.7)
+        assert s.residual_s_max == pytest.approx(0.1 * 5.5)
         assert s.fitted_residual_c_order >= 2.7
         full, _ = fit_scaling_exponent([(m.h, m.residual_c_integral_full)
                                         for m in s.members])
         assert full < 1.5
         # the member that sets the window integrates its whole horizon
         assert s.members[0].residual_c_integral == s.members[0].residual_c_integral_full
-        written = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        written = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         assert (written["members"][2]["residual_c_integral_full"]
                 == s.members[2].residual_c_integral_full)
         # the seeded ratio's sup sits at t = 0 in every member
         for m, w in zip(s.members, written["members"]):
             assert (w["sup_envelope_time"], w["envelope_ratio_t0"]) == (
                 0.0, m.sup_envelope_ratio)
+
+    def test_every_member_reaches_the_window_end(self, reduced_sweep):
+        # the last residual sample of every member lies within one snapshot
+        # of s_max, so no member stops short of the common window
+        cfg, s, _ = reduced_sweep
+        rest = Field.zeros(Grid(8, 1.0))
+        for m in s.members:
+            t, a, c = np.loadtxt(m.csv_track, delimiter=",", skiprows=1,
+                                 usecols=(0, 1, 2), unpack=True)
+            track = ParameterTrack(times=t, decompositions=[
+                Decomposition(SolitonParams(ak, ck), rest, 0, 0.0)
+                for ak, ck in zip(a, c)])
+            pot = PotentialSpec.bump(m.h, cfg.bump_amplitude, cfg.bump_width)
+            last = m.h * ode_residuals(track, pot, s.residual_s_max).times[-1]
+            assert s.residual_s_max - m.h * cfg.dt * cfg.snapshot_stride < last
+            assert last <= s.residual_s_max

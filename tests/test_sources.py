@@ -71,10 +71,10 @@ def test_transforms_call_scipy_fft_only(path):
 # perfbench references, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     **dict.fromkeys(
-        ("constrained_min_rayleigh", "parity_restriction", "angle_lemma_bound",
-         "commutator_probe", "commutator_matrix", "quadratic_form"),
+        ("constrained_min_rayleigh", "angle_lemma_bound", "commutator_probe",
+         "quadratic_form"),
         "a paper lemma behind the virial estimate, tested and waiting for a "
-        "CLI gate (ROADMAP item 5)"),
+        "CLI gate (ROADMAP item 3)"),
     "read_checkpoint": "the reader of the final.bosl that `bolab evolve` writes",
 }
 BENCH_SOURCES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))

@@ -1,20 +1,57 @@
-"""Dense spectra, constrained coercivity, and the angle bound."""
+"""Matrix-free spectra, constrained coercivity, and the angle bound.
+
+The reference for every ARPACK result is a dense oracle: the operator
+applied to the identity columns at (1024, 256), solved with
+`scipy.linalg`.
+"""
+
+import types
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from bolab import (ConfigurationError, DenseOperator, Field, Grid,
+from bolab import (ConfigurationError, DiagnosticError, Field, Grid,
                    SymmetricOperator, UsageError, angle_lemma_bound,
-                   closed_form_table, constrained_min_rayleigh, discretize,
-                   l2_norm, sobolev_norm, spectrum_below_continuum)
-from bolab.spectral import (_multiplier_matrix, parity_restriction,
-                            sobolev_gram_matrix)
+                   closed_form_table, constrained_min_rayleigh,
+                   fractional_derivative, inner, l2_norm, quadratic_form,
+                   spectrum_below_continuum)
+from bolab import spectral
+from bolab.grid import apply_multiplier
 from bolab.soliton import (eigenfunction_field, profile, profile_derivative,
                            scaled_profile)
 
-from conftest import random_band_limited
+from conftest import dense_oracle, random_band_limited
 
 TBL = closed_form_table()
+
+
+def discretize(op):
+    """The dense oracle of an operator with `.grid` and `.apply`: its matrix
+    on the sample vectors, made exactly symmetric."""
+    grid = op.grid
+    m = dense_oracle(lambda v: op.apply(Field(grid, v)).values, grid.n_points)
+    return 0.5 * (m + m.T)
+
+
+def squared(op):
+    """op applied twice: an operator with only `.grid` and `.apply`."""
+    return types.SimpleNamespace(grid=op.grid, apply=lambda f: op.apply(op.apply(f)))
+
+
+def dense_constrained_min(matrix, grid, constraints, norm):
+    """The oracle minimum: a null-space basis of the constraints and a dense
+    (generalized, for H^1/2) eigensolve of the reduced pencil."""
+    z = null_space(np.stack([c.values for c in constraints], axis=1).T)
+    a = z.T @ matrix @ z
+    if norm == "L2":
+        return float(eigh(a, eigvals_only=True, subset_by_index=[0, 0])[0])
+    sym = (1.0 + grid.rfft_wavenumbers ** 2) ** 0.5
+    gram = dense_oracle(lambda v: apply_multiplier(Field(grid, v), sym).values,
+                        grid.n_points)
+    b = z.T @ (0.5 * (gram + gram.T)) @ z
+    return float(eigh(a, b, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
 @pytest.fixture(scope="module")
@@ -24,12 +61,17 @@ def grid_spec():
 
 @pytest.fixture(scope="module")
 def lin_op(grid_spec):
-    return discretize(SymmetricOperator.linearized(grid_spec))
+    return SymmetricOperator.linearized(grid_spec)
 
 
 @pytest.fixture(scope="module")
 def lin_report(lin_op):
     return spectrum_below_continuum(lin_op, threshold=1.0)
+
+
+@pytest.fixture(scope="module")
+def lin_dense_small(grid_small):
+    return discretize(SymmetricOperator.linearized(grid_small))
 
 
 def constraint_pair(grid):
@@ -43,6 +85,8 @@ OPERATORS = {"linearized-c1": SymmetricOperator.linearized,
 
 
 class TestDiscretize:
+    """The dense oracle of the tests is the matrix of `apply`."""
+
     @pytest.mark.parametrize("make", OPERATORS.values(), ids=OPERATORS.keys())
     def test_matches_apply_on_random_fields(self, grid_small, make):
         op = make(grid_small)
@@ -51,71 +95,51 @@ class TestDiscretize:
         for _ in range(4):
             f = random_band_limited(grid_small, rng)
             direct = op.apply(f)
-            mat = Field(grid_small, dense.matrix @ f.values)
+            mat = Field(grid_small, dense @ f.values)
             assert l2_norm(direct - mat) <= 1e-10 * max(l2_norm(direct), 1.0)
 
-    def test_annihilates_translation_mode(self, grid_small):
+    def test_annihilates_translation_mode(self, grid_small, lin_dense_small):
         # spacing 1/4 leaves ~2e-4 aliasing of the e^{-|xi|} spectral tail
-        op = discretize(SymmetricOperator.linearized(grid_small))
         qp = profile_derivative(grid_small.nodes)
-        out = op.matrix @ qp
+        out = lin_dense_small @ qp
         assert np.sqrt(grid_small.spacing) * np.linalg.norm(out) <= 5e-4
 
-    def test_symmetry(self, grid_small):
-        # the dense matrices and the H^s Gram matrices are exactly symmetric,
-        # and bit for bit 0.5 (m + m^T) of the raw circulant assembly m
-        xi = grid_small.rfft_wavenumbers
-        diag = np.diag_indices(grid_small.n_points)
-        pairs = []
-        for make in OPERATORS.values():
-            op = make(grid_small)
-            raw = op.k * _multiplier_matrix(grid_small, xi)
-            raw[diag] = op.c0 + raw[diag] - op.w
-            pairs.append((discretize(op).matrix, raw))
-        for s in (0.5, 1.0):
-            pairs.append((sobolev_gram_matrix(grid_small, s),
-                          _multiplier_matrix(grid_small, (1.0 + xi ** 2) ** s)))
-        for got, raw in pairs:
-            assert np.array_equal(got, got.T)
-            assert np.array_equal(got, 0.5 * (raw + raw.T))
-
-    def test_asymmetric_matrix_rejected(self, grid_small):
-        sym = discretize(SymmetricOperator.linearized(grid_small)).matrix
-        n = grid_small.n_points
-        # one ulp off in the first block, and in the last block (the check
-        # runs per 128-row block) from either side of the diagonal
-        for i, j in ((0, 1), (n - 1, n - 100), (n - 100, n - 1), (5, n - 2)):
-            m = sym.copy()
-            m[i, j] = np.nextafter(m[i, j], np.inf)
-            with pytest.raises(UsageError):
-                DenseOperator(m, grid_small)
-        with pytest.raises(UsageError):
-            DenseOperator(sym[:, :-1], grid_small)
-
-    def test_virial_matrix_identity(self, grid_small):
+    def test_virial_matrix_identity(self, grid_small, lin_dense_small):
         # virial matrix = linearized matrix + |xi| part - diag((yq)' - q)
-        lin = discretize(SymmetricOperator.linearized(grid_small)).matrix
-        vir = discretize(SymmetricOperator.virial(grid_small)).matrix
-        dmat = _multiplier_matrix(grid_small, grid_small.rfft_wavenumbers)
+        vir = discretize(SymmetricOperator.virial(grid_small))
+        dmat = dense_oracle(
+            lambda v: fractional_derivative(Field(grid_small, v), 1.0).values,
+            grid_small.n_points)
         extra = np.diag(scaled_profile(grid_small.nodes) - profile(grid_small.nodes))
-        assert np.allclose(vir, lin + dmat - extra, atol=1e-11)
+        assert np.allclose(vir, lin_dense_small + dmat - extra, atol=1e-11)
 
-    def test_budget_enforced(self):
-        with pytest.raises(ConfigurationError):
-            discretize(SymmetricOperator.linearized(Grid(8192, 1024.0)))
 
-    def test_multiplier_matrix_matches_the_transformed_identity(self, grid_small):
-        # the circulant of the first column against the multiplier applied
-        # to every unit vector: an even real, an even and an odd symbol
-        n = grid_small.n_points
-        xi = grid_small.rfft_wavenumbers
-        for symbol in (np.abs(xi), (1.0 + xi ** 2) ** 0.5, 1j * xi):
-            sym = symbol.astype(complex)
-            sym[-1] = sym[-1].real
-            want = np.fft.irfft(sym[:, None] * np.fft.rfft(np.eye(n), axis=0),
-                                n=n, axis=0)
-            got = _multiplier_matrix(grid_small, symbol)
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+class TestMatrixFree:
+    @pytest.mark.parametrize("make", OPERATORS.values(), ids=OPERATORS.keys())
+    def test_apply_is_symmetric(self, grid_small, make):
+        # eigsh reads the operator as symmetric: <A f, g> = <f, A g> to
+        # rounding on random (not band-limited) fields
+        op = make(grid_small)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            f, g = (Field(grid_small, v) for v in rng.standard_normal((2, grid_small.n_points)))
+            af, ag = op.apply(f), op.apply(g)
+            scale = l2_norm(af) * l2_norm(g) + l2_norm(f) * l2_norm(ag)
+            assert abs(inner(af, g) - inner(f, ag)) <= 1e-14 * scale
+
+    def test_arpack_failure_carries_partial(self, grid_small, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence",
+                                      eigenvalues=np.array([0.5, -1.25]),
+                                      eigenvectors=np.zeros((grid_small.n_points, 2)))
+        monkeypatch.setattr(spectral, "eigsh", stalled)
+        op = SymmetricOperator.linearized(grid_small)
+        with pytest.raises(DiagnosticError) as err:
+            spectrum_below_continuum(op, threshold=1.0)
+        assert err.value.partial == [-1.25, 0.5]
+        with pytest.raises(DiagnosticError) as err:
+            constrained_min_rayleigh(op, constraint_pair(grid_small), "L2")
+        assert err.value.partial == -1.25
 
 
 class TestSpectrum:
@@ -139,17 +163,45 @@ class TestSpectrum:
         for f in lin_report.eigenvector_fields:
             assert l2_norm(f) == pytest.approx(1.0, rel=1e-10)
 
-    def test_odd_subspace_spectrum(self, lin_op, grid_spec):
-        reduced, _ = parity_restriction(lin_op, "odd")
-        vals = np.linalg.eigvalsh(reduced)
-        below = vals[vals < 0.9]
-        assert below.size == 1
-        assert abs(below[0]) <= 5e-3
+    def test_odd_subspace_spectrum(self, lin_report, grid_spec):
+        # the eigenvector at 0 is odd, those at lambda_- and lambda_+ even:
+        # below the continuum the odd subspace holds 0 alone
+        n = grid_spec.n_points
+        refl = (n - np.arange(n)) % n
+        odd = []
+        for val, f in zip(lin_report.discrete_eigenvalues, lin_report.eigenvector_fields):
+            v = f.values
+            leak_even = np.linalg.norm(v - v[refl])
+            leak_odd = np.linalg.norm(v + v[refl])
+            assert min(leak_even, leak_odd) <= 1e-8 * np.linalg.norm(v)
+            if leak_odd < leak_even:
+                odd.append(val)
+        assert len(odd) == 1
+        assert abs(odd[0]) <= 5e-3
+        assert lin_report.discrete_eigenvalues.index(odd[0]) == 1
 
     def test_continuum_cluster_flagged(self, lin_report):
         # the discretized continuum shows up as edge-ambiguous values near 1
         assert lin_report.edge_ambiguous
         assert min(lin_report.edge_ambiguous) > 0.9
+
+    def test_matches_dense_oracle(self, grid_small, lin_dense_small):
+        report = spectrum_below_continuum(SymmetricOperator.linearized(grid_small),
+                                          threshold=1.0)
+        vals = np.linalg.eigvalsh(lin_dense_small)
+        discrete = vals[vals < 0.9]
+        ambiguous = vals[(vals >= 0.9) & (vals <= 1.1)]
+        assert len(report.discrete_eigenvalues) == discrete.size == 3
+        assert np.max(np.abs(np.array(report.discrete_eigenvalues) - discrete)) <= 1e-12
+        assert len(report.edge_ambiguous) == ambiguous.size
+        assert np.max(np.abs(np.array(report.edge_ambiguous) - ambiguous)) <= 1e-12
+        assert report.warnings == []
+
+    def test_too_coarse_grid_rejected(self):
+        # every eigenvalue lies below threshold + margin: k would reach n
+        with pytest.raises(ConfigurationError):
+            spectrum_below_continuum(SymmetricOperator.linearized(Grid(64, 16.0)),
+                                     threshold=100.0)
 
 
 class TestConstrainedRayleigh:
@@ -158,46 +210,56 @@ class TestConstrainedRayleigh:
         assert -5e-3 <= mins <= 5e-3
 
     def test_squared_operator_gap(self, lin_op, grid_spec):
-        sq = lin_op.matrix @ lin_op.matrix
-        op2 = DenseOperator(0.5 * (sq + sq.T), grid_spec)
         qp = Field(grid_spec, profile_derivative(grid_spec.nodes))
-        m = constrained_min_rayleigh(op2, [qp], "L2")
+        m = constrained_min_rayleigh(squared(lin_op), [qp], "L2")
         assert m >= TBL.lambda_plus ** 2 - 5e-3
 
     def test_virial_coercivity_resolution_stable(self):
         vals = []
-        for (n, length) in ((1024, 256.0), (2048, 512.0)):
+        for (n, length) in ((1024, 256.0), (2048, 512.0), (8192, 1024.0)):
             g = Grid(n, length)
-            op = discretize(SymmetricOperator.virial(g))
+            op = SymmetricOperator.virial(g)
             vals.append(constrained_min_rayleigh(op, constraint_pair(g), "Hhalf"))
-        assert vals[0] > 0 and vals[1] > 0
-        assert abs(vals[0] - vals[1]) <= 0.1 * max(vals)
+        assert min(vals) > 0
+        assert max(vals) - min(vals) <= 0.1 * max(vals)
+
+    @pytest.mark.parametrize("case", ["L-both-L2", "virial-both-Hhalf", "L-qp-L2",
+                                      "L-squared-qp-L2"])
+    def test_matches_dense_oracle(self, grid_small, lin_dense_small, case):
+        qp, yqp = constraint_pair(grid_small)
+        lin = SymmetricOperator.linearized(grid_small)
+        op, dense, constraints, norm = {
+            "L-both-L2": (lin, lin_dense_small, [qp, yqp], "L2"),
+            "virial-both-Hhalf": (SymmetricOperator.virial(grid_small), None,
+                                  [qp, yqp], "Hhalf"),
+            "L-qp-L2": (lin, lin_dense_small, [qp], "L2"),
+            "L-squared-qp-L2": (squared(lin), lin_dense_small @ lin_dense_small,
+                                [qp], "L2"),
+        }[case]
+        if dense is None:
+            dense = discretize(op)
+        want = dense_constrained_min(0.5 * (dense + dense.T), grid_small, constraints, norm)
+        got = constrained_min_rayleigh(op, constraints, norm)
+        assert abs(got - want) <= 1e-12
 
     def test_monotone_in_constraints(self, grid_small):
-        op = discretize(SymmetricOperator.linearized(grid_small))
+        op = SymmetricOperator.linearized(grid_small)
         qp, yqp = constraint_pair(grid_small)
         one = constrained_min_rayleigh(op, [qp], "L2")
         two = constrained_min_rayleigh(op, [qp, yqp], "L2")
         assert two >= one - 1e-12
 
     def test_singular_constraints_rejected(self, grid_small):
-        op = discretize(SymmetricOperator.linearized(grid_small))
+        op = SymmetricOperator.linearized(grid_small)
         qp, _ = constraint_pair(grid_small)
         with pytest.raises(UsageError):
             constrained_min_rayleigh(op, [qp, 2.0 * qp], "L2")
 
     def test_unknown_norm_rejected(self, grid_small):
-        op = discretize(SymmetricOperator.linearized(grid_small))
+        op = SymmetricOperator.linearized(grid_small)
         qp, _ = constraint_pair(grid_small)
         with pytest.raises(UsageError):
             constrained_min_rayleigh(op, [qp], "Linf")
-
-    def test_hhalf_gram_matches_norm(self, grid_small):
-        rng = np.random.default_rng(8)
-        f = random_band_limited(grid_small, rng)
-        b = sobolev_gram_matrix(grid_small, 0.5)
-        quad = grid_small.spacing * float(f.values @ (b @ f.values))
-        assert quad == pytest.approx(sobolev_norm(f, 0.5) ** 2, rel=1e-10)
 
 
 class TestAngleBound:
@@ -227,7 +289,7 @@ class TestAngleBound:
         # 200 random even unit constraint directions f and random even
         # v orthogonal to f: the quadratic form respects the angle bound
         grid = Grid(1024, 256.0)
-        op = discretize(SymmetricOperator.linearized(grid))
+        op = SymmetricOperator.linearized(grid)
         em, _ = eigenfunction_field(grid, "-")
         n = grid.n_points
         refl = (n - np.arange(n)) % n
@@ -241,6 +303,6 @@ class TestAngleBound:
             vv = vv + vv[refl]
             vv -= (dx * (vv @ f.values)) * f.values / (dx * (f.values @ f.values))
             v = Field(grid, vv)
-            quot = (dx * (v.values @ (op.matrix @ v.values))) / (dx * (v.values @ v.values))
+            quot = quadratic_form(op, v) / inner(v, v)
             bound = angle_lemma_bound(TBL.lambda_minus, TBL.lambda_plus, em, f)
             assert quot >= bound - 5e-3
