@@ -10,8 +10,17 @@ Subcommands:
 
 Global flags: --config PATH, --out DIR, --threads K.  Files are written
 under the config's ``out_dir`` (default ``runs``), which --out
-overrides.  Exit code 0 iff every tolerance-tagged check in the
-requested run passes.
+overrides; --out and --threads override whenever given, so a rejected
+value (``--threads 0``) is an error, not a silent fallback.
+
+Each ``cmd_*`` returns its gates as ``(name, value, bound)`` tuples and
+prints no verdict.  ``main`` alone prints one ``PASS``/``FAIL`` line per
+gate, in order, after everything the subcommand printed; a gate passes
+iff ``value <= bound``, and a ``None`` value (nothing to measure, e.g. no
+fitted order) fails and prints as ``inf``.  Exit codes: 0 when every
+gate passes, 1 when any fails, 2 on a ``BolabError`` (reported on
+stderr) or an argparse usage error.  A subcommand that raises prints no
+gate lines.
 """
 
 from __future__ import annotations
@@ -43,47 +52,56 @@ from .trajectories import (convert_frame, gronwall_sweep, integrate_exact,
 from .virial import LinearizedRunSpec, virial_sweep
 
 
-def _check(name: str, value: float, bound: float, results: list) -> None:
-    ok = value <= bound
-    results.append(ok)
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tolerance {bound:.1e})")
+def _out_dir(cfg) -> Path:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
-def cmd_identities(args, cfg) -> int:
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+    print(f"wrote {path}")
+
+
+def _project_off(f: Field, *directions: Field) -> Field:
+    """f with its L2 component along each direction removed in turn."""
+    for g in directions:
+        f = f - (inner(f, g) / inner(g, g)) * g
+    return f
+
+
+def cmd_identities(args, cfg) -> list:
     grid = Grid(args.n, args.length)
-    results: list = []
     q = soliton_field(grid, SolitonParams(0.0, 1.0))
-    _check("profile equation residual", soliton_residual(SolitonParams(0.0, 1.0), grid),
-           1e-3, results)
     y = grid.nodes
     # on the periodic box, hilbert(q) is compared with the transform of the
     # periodised profile; the real-line -y q is O(L^-1/2) away from both
     hq = hilbert(q) - Field(grid, periodic_profile_hilbert(y, grid.domain_length))
-    _check("H(q) - H(q_per) closed form", l2_norm(hq), 1e-3, results)
     alg = Field(grid, y * profile_derivative(y) - (0.5 * profile(y) ** 2 - 2 * profile(y)))
-    _check("y q' - (q^2/2 - 2q)", l2_norm(alg), 1e-3, results)
     tbl = closed_form_table()
     yqp = Field(grid, scaled_profile(y))
     em = q + tbl.lambda_plus * yqp
-    checks = [
+    table = [
         ("||q||^2", inner(q, q), tbl.normQ_sq),
         ("||(yq)'||^2", inner(yqp, yqp), tbl.norm_yQprime_sq),
         ("<(yq)', q>", inner(yqp, q), tbl.inner_yQprime_Q),
         ("||q + lam (yq)'||^2", inner(em, em), tbl.norm_eminus_combo_sq),
+        ("cos^2(beta)", inner(yqp, em) ** 2 / (inner(yqp, yqp) * inner(em, em)),
+         tbl.cos2_beta),
     ]
-    for name, got, exact in checks:
-        _check(f"{name} vs exact", abs(got - exact) / abs(exact), 1e-6, results)
-    cos2 = inner(yqp, em) ** 2 / (inner(yqp, yqp) * inner(em, em))
-    _check("cos^2(beta) vs exact", abs(cos2 - tbl.cos2_beta) / tbl.cos2_beta,
-           1e-6, results)
-    return 0 if all(results) else 1
+    return [("profile equation residual",
+             soliton_residual(SolitonParams(0.0, 1.0), grid), 1e-3),
+            ("H(q) - H(q_per) closed form", l2_norm(hq), 1e-3),
+            ("y q' - (q^2/2 - 2q)", l2_norm(alg), 1e-3),
+            *((f"{name} vs exact", abs(got - exact) / abs(exact), 1e-6)
+              for name, got, exact in table)]
 
 
-def cmd_spectrum(args, cfg) -> int:
+def cmd_spectrum(args, cfg) -> list:
     grid = Grid(args.n, args.length)
     report = spectrum_below_continuum(SymmetricOperator.linearized(grid),
                                       threshold=1.0, margin=args.margin)
-    payload = {
+    _write_json(_out_dir(cfg) / "spectrum.json", {
         "schema_version": 1,
         "operator": "linearized",
         "grid": {"n_points": grid.n_points, "domain_length": grid.domain_length},
@@ -91,32 +109,23 @@ def cmd_spectrum(args, cfg) -> int:
         "discrete_eigenvalues": report.discrete_eigenvalues,
         "edge_ambiguous": report.edge_ambiguous[:8],
         "warnings": report.warnings,
-    }
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "spectrum.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-    print(f"wrote {path}")
+    })
     tbl = closed_form_table()
-    expected = [tbl.lambda_minus, 0.0, tbl.lambda_plus]
     got = report.discrete_eigenvalues
-    results: list = []
-    _check("|isolated eigenvalue count - 3|", abs(len(got) - 3), 0, results)
-    for g, e in zip(got, expected):
-        _check(f"isolated eigenvalue {g:.6f} vs {e:.6f}", abs(g - e), 5e-3, results)
-    return 0 if all(results) else 1
+    return [("|isolated eigenvalue count - 3|", abs(len(got) - 3), 0),
+            *((f"isolated eigenvalue {g:.6f} vs {e:.6f}", abs(g - e), 5e-3)
+              for g, e in zip(got, [tbl.lambda_minus, 0.0, tbl.lambda_plus]))]
 
 
-def cmd_evolve(args, cfg) -> int:
+def cmd_evolve(args, cfg) -> list:
     grid = Grid(cfg.n_points, cfg.domain_length)
-    pot = (PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width)
-           if args.h > 0 else None)
-    u0 = soliton_field(grid, SolitonParams(0.0, 1.0))
-    state = EvolutionState(0.0, u0, pot)
+    # only h = 0 is the free flow; any other h must pass PotentialSpec's check
+    pot = (None if args.h == 0
+           else PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width))
+    state = EvolutionState(0.0, soliton_field(grid, SolitonParams(0.0, 1.0)), pot)
     res = evolve_pbo(state, args.t_end, cfg.dt,
                      snapshot_stride=max(1, int(round(args.t_end / cfg.dt / 64))))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     inv0 = invariants(res.states[0])
     invT = invariants(res.states[-1])
     mass_drift = abs(invT.mass - inv0.mass) / abs(inv0.mass)
@@ -126,23 +135,19 @@ def cmd_evolve(args, cfg) -> int:
     track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
     write_track_csv(out / "track.csv", track)
     print(f"wrote {out/'final.bosl'} and {out/'track.csv'}")
-    results: list = []
-    if args.h > 0:
-        # under V the mass moves by d/dt M = (1/2) int V' u^2: recorded, not gated
-        print(f"INFO  relative mass drift under V: {mass_drift:.3e}")
-    else:
-        _check("relative mass drift", mass_drift, 1e-8, results)
-    _check("relative energy drift", energy_drift, 1e-6, results)
-    return 0 if all(results) else 1
+    energy = ("relative energy drift", energy_drift, 1e-6)
+    if pot is None:
+        return [("relative mass drift", mass_drift, 1e-8), energy]
+    # under V the mass moves by d/dt M = (1/2) int V' u^2: recorded, not gated
+    print(f"INFO  relative mass drift under V: {mass_drift:.3e}")
+    return [energy]
 
 
-def cmd_trajectories(args, cfg) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_trajectories(args, cfg) -> list:
+    out = _out_dir(cfg)
     pot = PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width)
-    ref = integrate_reference(pot, args.s_end)
+    write_trajectory_csv(out / "reference_slow.csv", integrate_reference(pot, args.s_end))
     ex = integrate_exact(pot, args.s_end)
-    write_trajectory_csv(out / "reference_slow.csv", ref)
     write_trajectory_csv(out / "exact_slow.csv", ex)
     write_trajectory_csv(out / "exact_fast.csv", convert_frame(ex, args.h))
     sweep = gronwall_sweep(
@@ -153,13 +158,10 @@ def cmd_trajectories(args, cfg) -> int:
           f"sup|C_dev| = {sweep.sup_dev_scale:.3e}, "
           f"fitted order = {sweep.fitted_order}")
     order = sweep.fitted_order
-    results: list = []
-    _check("deviation order |p - 2|",
-           abs(order - 2.0) if order is not None else math.inf, 0.2, results)
-    return 0 if all(results) else 1
+    return [("deviation order |p - 2|", None if order is None else abs(order - 2.0), 0.2)]
 
 
-def cmd_theorem_sweep(args, cfg) -> int:
+def cmd_theorem_sweep(args, cfg) -> list:
     summary = run_theorem_sweep(cfg)
     print(json.dumps({
         "fitted_remainder_order": summary.fitted_remainder_order,
@@ -169,48 +171,37 @@ def cmd_theorem_sweep(args, cfg) -> int:
     }, indent=2))
     rem = summary.fitted_remainder_order
     res_c = summary.fitted_residual_c_order
-    results: list = []
-    _check("member failures", len(summary.failures), 0, results)
-    _check("remainder order |p - 1.5|",
-           abs(rem - 1.5) if rem is not None else math.inf, 0.3, results)
-    # p >= 2.7 as a shortfall 2.7 - p <= 0
-    _check("residual-c order shortfall 2.7 - p",
-           2.7 - res_c if res_c is not None else math.inf, 0.0, results)
-    return 0 if all(results) else 1
+    return [("member failures", len(summary.failures), 0),
+            ("remainder order |p - 1.5|", None if rem is None else abs(rem - 1.5), 0.3),
+            # p >= 2.7 as a shortfall 2.7 - p <= 0
+            ("residual-c order shortfall 2.7 - p", None if res_c is None else 2.7 - res_c,
+             0.0)]
 
 
-def cmd_virial(args, cfg) -> int:
+def cmd_virial(args, cfg) -> list:
     grid = Grid(cfg.n_points, cfg.domain_length)
     y = grid.nodes
-    v0 = Field(grid, np.exp(-((y - 3.0) / 5.0) ** 2) * np.sin(0.8 * y))
-    fq = Field(grid, profile(y))
     fqp = Field(grid, profile_derivative(y))
-    for g in (fq, fqp):
-        v0 = v0 - (inner(v0, g) / inner(g, g)) * g
-    v0 = (0.5 / l2_norm(v0)) * v0
-    forcing = Field(grid, np.exp(-((y + 5.0) / 6.0) ** 2))
-    fqpp = Field(grid, profile_second_derivative(y))
-    for g in (fqp, fqpp):
-        forcing = forcing - (inner(forcing, g) / inner(g, g)) * g
-    forcing = (0.1 / l2_norm(forcing)) * forcing
-    run = LinearizedRunSpec(initial=v0, forcing=forcing, t_end=args.t_end,
-                            dt=cfg.dt, snapshot_stride=cfg.snapshot_stride)
+    v0 = _project_off(Field(grid, np.exp(-((y - 3.0) / 5.0) ** 2) * np.sin(0.8 * y)),
+                      Field(grid, profile(y)), fqp)
+    forcing = _project_off(Field(grid, np.exp(-((y + 5.0) / 6.0) ** 2)),
+                           fqp, Field(grid, profile_second_derivative(y)))
+    run = LinearizedRunSpec(initial=(0.5 / l2_norm(v0)) * v0,
+                            forcing=(0.1 / l2_norm(forcing)) * forcing,
+                            t_end=args.t_end, dt=cfg.dt,
+                            snapshot_stride=cfg.snapshot_stride)
     reports = virial_sweep(run, args.gammas, args.y0s)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "virial.json"
-    path.write_text(json.dumps([asdict(r) for r in reports], indent=2),
-                    encoding="utf-8")
-    print(f"wrote {path}")
+    _write_json(_out_dir(cfg) / "virial.json", [asdict(r) for r in reports])
     ratios = [r.ratio for r in reports]
-    band = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    results: list = []
-    _check("ratio band max/min", band, 3.0, results)
-    return 0 if all(results) else 1
+    band = max(ratios) / min(ratios) if min(ratios) > 0 else None
+    return [("ratio band max/min", band, 3.0)]
 
 
 def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,14 +250,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.out:
-            cfg = replace(cfg, out_dir=args.out)
-        if args.threads:
-            cfg = replace(cfg, threads=args.threads)
-        return args.fn(args, cfg)
+        given = {"out_dir": args.out, "threads": args.threads}
+        cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
+        gates = args.fn(args, cfg)
     except BolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    failed = False
+    for name, value, bound in gates:
+        value = math.inf if value is None else value
+        ok = value <= bound
+        failed |= not ok
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {value:.3e} (tolerance {bound:.1e})")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from bolab import cli
 from bolab.cli import main
+from bolab.errors import ConfigurationError
 
 
 def test_trajectories_defaults_pass(tmp_path, capsys):
@@ -71,3 +73,69 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(bad), "theorem-sweep"]) == 2
     assert main(["--out", str(tmp_path), "--threads", "-1", "theorem-sweep"]) == 2
     assert "error: threads must be at least 1" in capsys.readouterr().err
+    # a given --threads overrides the config even when it is falsy
+    assert main(["--out", str(tmp_path), "--threads", "0", "theorem-sweep"]) == 2
+    assert "error: threads must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("virial", "--gammas"), ("virial", "--y0s"),
+                                           ("trajectories", "--h-sweep")])
+def test_empty_float_list_is_a_usage_error(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), command, flag, ""])
+    assert exc.value.code == 2
+    assert "expected a comma-separated list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h", ["-0.05", "nan"])
+def test_evolve_rejects_h_outside_the_unit_interval(tmp_path, capsys, h):
+    # only h = 0 selects the free flow; any other h goes to PotentialSpec's check
+    assert main(["--out", str(tmp_path), "evolve", "--h", h, "--t-end", "1"]) == 2
+    assert "error: h must lie in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "final.bosl").exists()
+
+
+def test_main_alone_prints_the_verdicts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cmd_identities",
+                        lambda args, cfg: [("a", 0.5, 1.0), ("b", None, 1e-3)])
+    assert main(["--out", str(tmp_path), "identities"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  a: 5.000e-01 (tolerance 1.0e+00)",
+        "FAIL  b: inf (tolerance 1.0e-03)",
+    ]
+    monkeypatch.setattr(cli, "cmd_identities",
+                        lambda args, cfg: [("a", 0.5, 1.0), ("c", 0, 0)])
+    assert main(["--out", str(tmp_path), "identities"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  a: 5.000e-01 (tolerance 1.0e+00)",
+        "PASS  c: 0.000e+00 (tolerance 0.0e+00)",
+    ]
+
+
+def test_raising_subcommand_prints_no_gates(tmp_path, capsys, monkeypatch):
+    def fails(args, cfg):
+        print("partial output")
+        raise ConfigurationError("bad setting")
+
+    monkeypatch.setattr(cli, "cmd_identities", fails)
+    assert main(["--out", str(tmp_path), "identities"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "partial output\n"
+    assert captured.err == "error: bad setting\n"
+
+
+def test_reduced_virial_run_reports_every_centre_and_window(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_points = 1024\ndomain_length = 128\n", encoding="utf-8")
+    gammas, y0s = [0.05], [-50.0, 0.0, 50.0]
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "virial", "--t-end", "1",
+                 f"--gammas={','.join(map(str, gammas))}", f"--y0s={','.join(map(str, y0s))}"])
+    text = (tmp_path / "virial.json").read_text(encoding="utf-8")
+    reports = json.loads(text)
+    assert len(reports) == 2 * len(gammas) * len(y0s)
+    assert text == json.dumps(reports, indent=2, sort_keys=True)
+    assert {(r["gamma"], r["y0"]) for r in reports} == {(g, y) for g in gammas for y in y0s}
+    gate_lines = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+    assert len(gate_lines) == 1 and gate_lines[0].split()[1:3] == ["ratio", "band"]
+    assert code == (1 if gate_lines[0].startswith("FAIL") else 0)
