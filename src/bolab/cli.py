@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BolabError
-from .evolution import EvolutionState, evolve_pbo, invariants, write_checkpoint
+from .evolution import (EvolutionState, _step_count, evolve_pbo, invariants,
+                        write_checkpoint)
 from .experiments import ExperimentConfig, load_config, run_theorem_sweep
 from .grid import Field, Grid, hilbert, inner, l2_norm
 from .modulation import write_track_csv, track_parameters
@@ -123,6 +124,7 @@ def cmd_evolve(args, cfg) -> list:
     pot = (None if args.h == 0
            else PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width))
     state = EvolutionState(0.0, soliton_field(grid, SolitonParams(0.0, 1.0)), pot)
+    _step_count(args.t_end, cfg.dt)     # a bad --t-end exits 2 before the stride uses it
     res = evolve_pbo(state, args.t_end, cfg.dt,
                      snapshot_stride=max(1, int(round(args.t_end / cfg.dt / 64))))
     out = _out_dir(cfg)

@@ -58,6 +58,7 @@ family; every table takes the Nyquist rule of ``grid._real_nyquist``.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -281,9 +282,16 @@ class EvolveResult:
     times: np.ndarray
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    if not (dt > 0):
-        raise ConfigurationError(f"dt must be positive, got {dt}")
+def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
+    """Steps of a run to t_end, once t_end and dt are finite and positive,
+    t_end a multiple of dt and the snapshot stride at least 1."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(f"dt must be finite and positive, got {dt}")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ConfigurationError(f"t_end must be finite and positive, got {t_end}")
+    if snapshot_stride < 1:
+        raise ConfigurationError(
+            f"snapshot_stride must be at least 1, got {snapshot_stride}")
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")
@@ -329,7 +337,7 @@ def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
     BLOWUP_FACTOR times its initial value (the blow-up guard), or whose
     field maximum lies within L/4 of the periodic seam (the seam guard).
     """
-    n_steps = _step_count(t_end, dt)
+    n_steps = _step_count(t_end, dt, snapshot_stride)
     grid = initial.field.grid
     guard_norm = BLOWUP_FACTOR * max(sobolev_norm(initial.field, 0.5), 1e-12)
     quarter = grid.domain_length / 4.0
@@ -355,7 +363,7 @@ def evolve_linearized(initial: EvolutionState, t_end: float, dt: float,
     the rank-one drift projector, and the forcing make up the bounded
     remainder.
     """
-    n_steps = _step_count(t_end, dt)
+    n_steps = _step_count(t_end, dt, snapshot_stride)
     return _evolve(initial, n_steps, dt, snapshot_stride,
                    _linearized_flow(initial.field.grid, dt, forcing))
 

@@ -2,11 +2,11 @@
 residual tables, scaling-exponent fits, and reproducible reporting.
 
 A sweep member evolves the potential-perturbed flow from a soliton plus
-a sized perturbation, extracts the symplectic parameter track, compares
-it against the corrected parameter ODE, and reports envelope-normalized
-remainder norms.  Orders in h are least-squares slopes in log-log
-coordinates with their standard errors; raw CSVs accompany every
-summary record.
+a Gaussian perturbation of H^{1/2} size delta_scale h^{3/2}, extracts
+the symplectic parameter track, compares it against the corrected
+parameter ODE, and reports envelope-normalized remainder norms.  Orders
+in h are least-squares slopes in log-log coordinates with their
+standard errors; raw CSVs accompany every summary record.
 
 Config files are flat ``key = value`` text (UTF-8, ``#`` comments,
 comma-separated lists).
@@ -29,13 +29,11 @@ from .evolution import EvolutionState, evolve_pbo
 from .grid import Field, Grid, cell_l2_profile, sobolev_norm
 from .modulation import ParameterTrack, track_parameters, write_track_csv
 from .potential import PotentialSpec
-from .soliton import (SolitonParams, eigenfunction_field,
-                      profile_second_derivative, soliton_field)
+from .soliton import SolitonParams, soliton_field
 from .trajectories import (convert_frame, exact_rhs, integrate_exact,
                            integrate_reference, write_trajectory_csv)
 
 SCHEMA_VERSION = 1
-PERTURBATION_KINDS = ("even_mode", "gaussian", "curvature")
 
 
 @dataclass
@@ -48,7 +46,6 @@ class ExperimentConfig:
     h_list: tuple = (0.1, 0.05, 0.025)
     bump_amplitude: float = 0.2
     bump_width: float = 1.0
-    perturbation: str = "gaussian"
     delta_scale: float = 1.0          # delta = delta_scale * h^{3/2}
     out_dir: str = "runs"
     threads: int = 1
@@ -59,12 +56,17 @@ class ExperimentConfig:
         for h in self.h_list:
             if not (0 < h <= 1):
                 raise ConfigurationError(f"h values must lie in (0, 1], got {h}")
+        tags = [_member_tag(h) for h in self.h_list]
+        if len(set(tags)) < len(tags):
+            # two members with one tag would write the same CSV files
+            raise ConfigurationError(
+                f"h values must be distinct to 6 significant digits, got {self.h_list}")
         for name in ("dt", "domain_length", "bump_width", "mu0", "delta_scale"):
             if not (getattr(self, name) > 0):
                 raise ConfigurationError(f"{name} must be positive")
-        if self.perturbation not in PERTURBATION_KINDS:
+        if self.snapshot_stride < 1:
             raise ConfigurationError(
-                f"perturbation must be one of {PERTURBATION_KINDS}")
+                f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
         if self.threads < 1:
             raise ConfigurationError(f"threads must be at least 1, got {self.threads}")
 
@@ -182,18 +184,10 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec,
 # theorem sweep
 # ---------------------------------------------------------------------------
 
-def build_perturbation(grid: Grid, kind: str, delta: float) -> Field:
-    """A smooth perturbation scaled to H^{1/2} norm exactly delta."""
-    if kind == "even_mode":
-        raw, _ = eigenfunction_field(grid, "+")
-    elif kind == "gaussian":
-        raw = Field(grid, np.exp(-(grid.nodes / 4.0) ** 2))
-    elif kind == "curvature":
-        raw = Field(grid, profile_second_derivative(grid.nodes))
-    else:
-        raise ConfigurationError(f"unknown perturbation kind {kind!r}")
-    norm = sobolev_norm(raw, 0.5)
-    return (delta / norm) * raw
+def build_perturbation(grid: Grid, delta: float) -> Field:
+    """The Gaussian exp(-(x/4)^2) scaled to H^{1/2} norm exactly delta."""
+    raw = Field(grid, np.exp(-(grid.nodes / 4.0) ** 2))
+    return (delta / sobolev_norm(raw, 0.5)) * raw
 
 
 @dataclass
@@ -252,6 +246,11 @@ def _residual_reach(cfg: ExperimentConfig, h: float) -> float:
     return h * ((round(t_end / cfg.dt) - 2 * cfg.snapshot_stride) * cfg.dt)
 
 
+def _member_tag(h: float) -> str:
+    """The h tag of a member's CSV names: h0p05 for h = 0.05."""
+    return f"h{h:g}".replace(".", "p")
+
+
 def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
                 s_max: float | None) -> SweepMember:
     """One sweep member; its residual integrals cover s = h t <= s_max
@@ -262,7 +261,7 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
     t_end = _horizon(cfg, pot, h)
     delta = cfg.delta_scale * h ** 1.5
     q0 = soliton_field(grid, SolitonParams(0.0, 1.0))
-    u0 = q0 + build_perturbation(grid, cfg.perturbation, delta)
+    u0 = q0 + build_perturbation(grid, delta)
     res = evolve_pbo(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
                      snapshot_stride=cfg.snapshot_stride)
     track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
@@ -294,7 +293,7 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
     sup_local = float(np.sqrt(np.max(cell_mass * dt_snap)))
 
     resid = ode_residuals(track, pot, s_max)
-    tag = f"h{h:g}".replace(".", "p")
+    tag = _member_tag(h)
     csv_track = str(out_dir / f"track_{tag}.csv")
     csv_traj = str(out_dir / f"trajectory_{tag}.csv")
     write_track_csv(csv_track, track)

@@ -17,6 +17,7 @@ one home, for the multipliers here and the ETDRK4 tables alike.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.fft
@@ -43,9 +44,9 @@ class Grid:
         if n_points < 8 or (n_points & (n_points - 1)) != 0:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 8, got {n_points}")
-        if not (domain_length > 0):
+        if not (math.isfinite(domain_length) and domain_length > 0):
             raise ConfigurationError(
-                f"domain_length must be positive, got {domain_length}")
+                f"domain_length must be finite and positive, got {domain_length}")
         self.n_points = int(n_points)
         self.domain_length = float(domain_length)
         self.spacing = self.domain_length / self.n_points
@@ -64,9 +65,6 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n_points={self.n_points}, domain_length={self.domain_length})"
-
-    def key(self):
-        return (self.n_points, self.domain_length)
 
 
 class Field:

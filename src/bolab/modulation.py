@@ -3,9 +3,10 @@ tracking.
 
 The parameter fit is a 2x2 Newton iteration on the symplectic
 orthogonality conditions <u - q_{a,c}, q_{a,c}> = <u - q_{a,c}, (x - a)
-q_{a,c}> = 0, with an analytically assembled Jacobian (derivative fields
-of the soliton family are sampled from closed formulas and the leading
-Jacobian entries reduce to the exact table constants).
+q_{a,c}> = 0, with an analytically assembled Jacobian (the derivative
+fields of the soliton family are built from `soliton.profile`,
+`profile_derivative` and `scaled_profile`, and the leading Jacobian
+entries reduce to the exact table constants).
 
 A fit keeps the field it fitted, not its remainder: `Field` values are
 read-only, so the reference is safe, and it keeps that field alive.
@@ -24,7 +25,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DecompositionError
 from .grid import Field, Grid, l2_norm, local_sup_norm, sobolev_norm, translate
-from .soliton import SolitonParams, profile, soliton_field
+from .soliton import (SolitonParams, profile, profile_derivative,
+                      scaled_profile, soliton_field)
 
 TUBE_RADIUS_FACTOR = 0.3
 MAX_NEWTON_ITERS = 50
@@ -60,19 +62,9 @@ class Decomposition:
 
 def _constraint_fields(grid: Grid, a: float, c: float):
     """Constraint pair (m1, m2) = (q_{a,c}, (x - a) q_{a,c}) and their (a, c)
-    derivative fields.
-
-    q, q' and (yq)' are `soliton.profile`, `profile_derivative` and
-    `scaled_profile` at z = c (x - a), written out on one z^2 and one
-    (1 + z^2)^2; the values are the same bit for bit.
-    """
+    derivative fields, from q, q' and (yq)' at z = c (x - a)."""
     z = c * (grid.nodes - a)
-    z2 = z * z
-    w = 1.0 + z2
-    w2 = w ** 2
-    q = 4.0 / w                          # profile(z)
-    qp = -8.0 * z / w2                   # profile_derivative(z)
-    sp = 4.0 * (1.0 - z2) / w2           # scaled_profile(z) = q + z q'
+    q, qp, sp = profile(z), profile_derivative(z), scaled_profile(z)
     m1 = c * q                           # q_{a,c}
     m2 = z * q                           # (x - a) q_{a,c}
     return (m1, m2), (-c * c * qp, -c * sp), (sp, (z / c) * sp)

@@ -131,7 +131,6 @@ class CommutatorProbeResult:
     norm: float
     reference_scale: float       # gamma * ln(1/gamma)
     ratio: float                 # norm / reference_scale
-    grid_key: tuple
 
 
 def _commutator_maps(grid: Grid, gamma: float):
@@ -193,5 +192,5 @@ def commutator_probe(gamma: float, grid: Grid | None = None) -> CommutatorProbeR
     norm = top_singular_value(*_commutator_maps(grid, gamma), grid.n_points)
     ref = gamma * math.log(1.0 / gamma)
     return CommutatorProbeResult(gamma=gamma, norm=norm, reference_scale=ref,
-                                 ratio=norm / ref, grid_key=grid.key())
+                                 ratio=norm / ref)
 

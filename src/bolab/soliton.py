@@ -4,9 +4,13 @@ The traveling-wave profile is the algebraically decaying bump
 ``q(y) = 4/(1 + y^2)`` and the two-parameter family is
 ``q_{a,c}(x) = c*q(c*(x-a))``.  On a periodic box of length L the exact
 wave is the image sum ``periodic_profile``, which the profile-equation
-residual checks.  Every field here is sampled from closed formulas; nothing is obtained by solving the profile equation
-numerically.  The (a, c) derivatives of q_{a,c} are sampled where they
-are used, in the Newton fit of ``modulation._constraint_fields``.  The
+residual checks.  Every field here is sampled from closed formulas;
+nothing is obtained by solving the profile equation numerically.  This
+module is the one home of those formulas: the Newton fit of
+``modulation._constraint_fields`` builds the (a, c) derivatives of
+q_{a,c} from ``profile``, ``profile_derivative`` and ``scaled_profile``.
+``eigenfunction_field`` gives the closed-form bound states of the
+linearized operator, the oracle of the operator and soliton tests.  The
 integral table keeps its entries symbolic (multiples of pi and sqrt(5))
 so golden tests stay self-documenting.
 """

@@ -60,8 +60,11 @@ def spectrum_below_continuum(op, threshold: float, margin: float = 0.1) -> Eigen
     The smallest k eigenvalues come from `eigsh`, k doubling from
     _FIRST_K until the largest exceeds threshold + margin, so every value
     up to there and the next one are found.  A grid on which ARPACK's
-    largest k (n - 1) does not get there raises ConfigurationError.
+    largest k (n - 1) does not get there raises ConfigurationError, as
+    does a margin that is not finite and positive.
     """
+    if not (math.isfinite(margin) and margin > 0):
+        raise ConfigurationError(f"margin must be finite and positive, got {margin}")
     grid = op.grid
     n = grid.n_points
     lin = _sample_map(n, lambda v: _apply_values(op, v))

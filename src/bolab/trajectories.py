@@ -19,7 +19,7 @@ Each integration runs once per process: `_integrated`, one bounded
 by ``shape_key()`` (it does not involve h), ``s_end`` and ``ds``, and
 the corrected flow by ``key()``, ``s_end``, ``ds`` and y0.  Its arrays
 are read-only and shared; every public call wraps them in a fresh
-TrajectoryState with the caller's own h and stop time.  So
+TrajectoryState.  So
 `gronwall_sweep` integrates the reference flow once per distinct shape
 W, and `bolab trajectories` does not integrate again, in its sweep,
 the two h = --h flows it has just written.
@@ -58,7 +58,6 @@ class TrajectoryState:
     positions: np.ndarray       # A (slow frame) or a (fast frame)
     scales: np.ndarray          # C or c
     stop_time: float | None = None   # event time in the state's frame; None = never
-    h: float | None = None
 
     def __post_init__(self):
         if self.frame not in FRAMES:
@@ -187,8 +186,7 @@ def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> T
     _check_span(s_end, ds)
     times, pos, sc, stop = _integrated(_Flow("reference", pot.shape_key(), float(s_end),
                                              float(ds), (0.0, 1.0), pot))
-    return TrajectoryState("slow_s", "reference", times, pos, sc,
-                           stop_time=stop, h=pot.h)
+    return TrajectoryState("slow_s", "reference", times, pos, sc, stop_time=stop)
 
 
 def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
@@ -197,7 +195,7 @@ def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
     _check_span(s_end, ds)
     times, pos, sc, _ = _integrated(_Flow("exact", pot.key(), float(s_end), float(ds),
                                           (float(y0[0]), float(y0[1])), pot))
-    return TrajectoryState("slow_s", "exact", times, pos, sc, stop_time=None, h=pot.h)
+    return TrajectoryState("slow_s", "exact", times, pos, sc)
 
 
 def convert_frame(tr: TrajectoryState, h: float) -> TrajectoryState:
@@ -211,23 +209,23 @@ def convert_frame(tr: TrajectoryState, h: float) -> TrajectoryState:
         raise ConfigurationError(f"h must be positive, got {h}")
     stop = tr.stop_time / h if tr.stop_time is not None else None
     return TrajectoryState("fast_t", tr.kind, tr.times / h, tr.positions / h,
-                           tr.scales.copy(), stop_time=stop, h=h)
+                           tr.scales.copy(), stop_time=stop)
 
 
 @dataclass
 class GronwallReport:
-    sup_dev_position: float
-    sup_dev_scale: float
-    fitted_order: float | None = None       # filled by the sweep variant
-    per_h: list = field(default_factory=list)
+    sup_dev_position: float             # max over h of sup|A_ref - A_exact|
+    sup_dev_scale: float                # max over h of sup|C_ref - C_exact|
+    fitted_order: float | None          # log-log slope of sup|C_dev| in h
+    per_h: list                         # (h, sup|A_dev|, sup|C_dev|) per h
 
 
-def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState) -> GronwallReport:
-    """Deviation suprema between two same-frame trajectories on their overlap.
+def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState) -> tuple:
+    """(sup|A_ref - A_ex|, sup|C_ref - C_ex|) of two same-frame trajectories
+    on their overlap.
 
     Both inputs are resampled by cubic interpolation onto a common mesh.
-    A single comparison cannot produce an h-order; the fitted_order slot
-    stays None (see gronwall_sweep).
+    A single comparison has no h-order; `gronwall_sweep` fits one.
     """
     if ref.frame != ex.frame:
         raise UsageError("trajectories live in different frames")
@@ -241,7 +239,7 @@ def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState) -> GronwallRepor
         fr = CubicSpline(ref.times, getattr(ref, get))(mesh)
         fe = CubicSpline(ex.times, getattr(ex, get))(mesh)
         devs.append(float(np.max(np.abs(fr - fe))))
-    return GronwallReport(sup_dev_position=devs[0], sup_dev_scale=devs[1])
+    return devs[0], devs[1]
 
 
 def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> GronwallReport:
@@ -259,9 +257,8 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
     per_h = []
     for h in h_values:
         pot = pot_factory(h)
-        rep = gronwall_compare(integrate_reference(pot, s_end, ds),
-                               integrate_exact(pot, s_end, ds))
-        per_h.append((float(h), rep.sup_dev_position, rep.sup_dev_scale))
+        per_h.append((float(h), *gronwall_compare(integrate_reference(pot, s_end, ds),
+                                                  integrate_exact(pot, s_end, ds))))
     hs = np.array([p[0] for p in per_h])
     dev_c = np.array([p[2] for p in per_h])
     if np.any(dev_c <= 0):

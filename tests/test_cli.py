@@ -139,3 +139,40 @@ def test_reduced_virial_run_reports_every_centre_and_window(tmp_path, capsys):
                   if line.startswith(("PASS", "FAIL"))]
     assert len(gate_lines) == 1 and gate_lines[0].split()[1:3] == ["ratio", "band"]
     assert code == (1 if gate_lines[0].startswith("FAIL") else 0)
+
+
+def _small_config(tmp_path, extra=""):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"n_points = 1024\ndomain_length = 128\n{extra}", encoding="utf-8")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("command", ["evolve", "virial"])
+@pytest.mark.parametrize("t_end", ["0", "-1", "nan", "inf"])
+def test_t_end_must_be_finite_and_positive(tmp_path, capsys, command, t_end):
+    # an error before any evolution: no gate line, no file
+    code = main(["--config", _small_config(tmp_path), "--out", str(tmp_path),
+                 command, f"--t-end={t_end}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: t_end must be finite and positive" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+@pytest.mark.parametrize("stride", ["0", "-5"])
+@pytest.mark.parametrize("command", ["virial", "theorem-sweep"])
+def test_snapshot_stride_below_one_exits_2(tmp_path, capsys, command, stride):
+    code = main(["--config", _small_config(tmp_path, f"snapshot_stride = {stride}\n"),
+                 "--out", str(tmp_path), command])
+    assert code == 2
+    assert "error: snapshot_stride must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("margin", ["nan", "-1"])
+def test_spectrum_margin_must_be_finite_and_positive(tmp_path, capsys, margin):
+    code = main(["--out", str(tmp_path), "spectrum", "--n", "256", "--length", "64",
+                 f"--margin={margin}"])
+    assert code == 2
+    assert "error: margin must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.json").exists()

@@ -537,6 +537,21 @@ class TestDriver:
         with pytest.raises(ConfigurationError):
             evolve_linearized(state, 1.0, -0.01)
 
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan"), float("inf")])
+    def test_evolve_t_end_must_be_finite_and_positive(self, grid_small, t_end):
+        # a run of no step has nothing to gate
+        state = EvolutionState(0.0, Field.zeros(grid_small))
+        for evolve in (evolve_pbo, evolve_linearized):
+            with pytest.raises(ConfigurationError, match="t_end must be finite and positive"):
+                evolve(state, t_end, 0.01)
+
+    @pytest.mark.parametrize("stride", [0, -5])
+    def test_evolve_snapshot_stride_at_least_one(self, grid_small, stride):
+        state = EvolutionState(0.0, Field.zeros(grid_small))
+        for evolve in (evolve_pbo, evolve_linearized):
+            with pytest.raises(ConfigurationError, match="snapshot_stride must be at least 1"):
+                evolve(state, 0.1, 0.01, snapshot_stride=stride)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, grid_small):

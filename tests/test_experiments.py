@@ -19,7 +19,7 @@ class TestParseConfig:
         cfg = ExperimentConfig(
             n_points=4096, domain_length=512.0, dt=0.02, snapshot_stride=5,
             mu0=0.5, h_list=(0.2, 0.1), bump_amplitude=0.3, bump_width=2.0,
-            perturbation="curvature", delta_scale=0.5, out_dir="elsewhere",
+            delta_scale=0.5, out_dir="elsewhere",
             threads=3)
         lines = []
         for f in fields(ExperimentConfig):
@@ -32,7 +32,8 @@ class TestParseConfig:
         for f in fields(ExperimentConfig):
             assert getattr(parsed, f.name) != getattr(ExperimentConfig(), f.name)
 
-    @pytest.mark.parametrize("line", ["seed = 1", "regime = symplectic"])
+    @pytest.mark.parametrize("line", ["seed = 1", "regime = symplectic",
+                                      "perturbation = gaussian"])
     def test_removed_keys_rejected(self, line):
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_config(line)
@@ -40,6 +41,18 @@ class TestParseConfig:
     def test_threads_at_least_one(self):
         with pytest.raises(ConfigurationError):
             parse_config("threads = 0")
+
+    @pytest.mark.parametrize("line", ["snapshot_stride = 0", "snapshot_stride = -5"])
+    def test_snapshot_stride_at_least_one(self, line):
+        with pytest.raises(ConfigurationError, match="snapshot_stride must be at least 1"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("line", ["h_list = 0.1, 0.1, 0.05",
+                                      "h_list = 0.1, 0.1000001"])
+    def test_h_values_name_distinct_files(self, line):
+        # both h = 0.1 members would write track_h0p1.csv and trajectory_h0p1.csv
+        with pytest.raises(ConfigurationError, match="h values must be distinct"):
+            parse_config(line)
 
 
 class TestSweepLoop:

@@ -27,8 +27,10 @@ class TestMakeGrid:
             Grid(7, 8.0)
 
     def test_nonpositive_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Grid(8, -1.0)
+        # an infinite box would have NaN nodes
+        for length in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                Grid(8, length)
 
     def test_wavenumber_antisymmetry(self):
         g = Grid(64, 16.0)

@@ -197,6 +197,17 @@ class TestSpectrum:
         assert np.max(np.abs(np.array(report.edge_ambiguous) - ambiguous)) <= 1e-12
         assert report.warnings == []
 
+    @pytest.mark.parametrize("margin", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_margin_must_be_finite_and_positive(self, monkeypatch, margin):
+        # the margin is checked before the first ARPACK call
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("ARPACK called")
+
+        monkeypatch.setattr(spectral, "run_arpack", no_arpack)
+        with pytest.raises(ConfigurationError, match="margin must be finite and positive"):
+            spectrum_below_continuum(SymmetricOperator.linearized(Grid(256, 64.0)),
+                                     threshold=1.0, margin=margin)
+
     def test_too_coarse_grid_rejected(self):
         # every eigenvalue lies below threshold + margin: k would reach n
         with pytest.raises(ConfigurationError):

@@ -201,9 +201,10 @@ class TestIntegrators:
         want = []
         for h in hs:
             pot = PotentialSpec.bump(h)
-            rep = gronwall_compare(integrate_reference(pot, 2.0),
-                                   integrate_exact(pot, 2.0))
-            want.append((h, rep.sup_dev_position, rep.sup_dev_scale))
+            devs = gronwall_compare(integrate_reference(pot, 2.0),
+                                    integrate_exact(pot, 2.0))
+            assert type(devs) is tuple and len(devs) == 2   # (sup|A_dev|, sup|C_dev|)
+            want.append((h, *devs))
         assert gronwall_sweep(lambda h: PotentialSpec.bump(h), hs, 2.0).per_h == want
 
     @pytest.mark.parametrize("factory, expected", [
@@ -295,16 +296,15 @@ class TestIntegrationCache:
                 assert tr.stop_time == stop
         assert _cache_info().hits == len(cases)
 
-    def test_callers_get_their_own_h_and_stop_time(self):
+    def test_callers_get_their_own_stop_time(self):
         a = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
         b = integrate_reference(PotentialSpec.bump(0.05, amplitude=1.2), 4.0)
         assert _cache_info().misses == 1          # h is not an input of this flow
         assert a is not b and a.times is b.times
-        assert (a.h, b.h) == (0.1, 0.05)
         stop = a.stop_time
-        a.stop_time, a.h = None, 0.3
+        a.stop_time = None
         c = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
-        assert (b.stop_time, c.stop_time, c.h) == (stop, stop, 0.1)
+        assert (b.stop_time, c.stop_time) == (stop, stop)
 
     def test_requests_that_differ_get_their_own_entries(self):
         pot = PotentialSpec.bump(0.1)
@@ -344,7 +344,7 @@ class TestIntegrationCache:
         def run(request):
             integrate, pot = request
             tr = integrate(pot, 1.0)
-            return (*_arrays(tr), tr.h, tr.stop_time)
+            return (*_arrays(tr), tr.stop_time)
 
         serial = [run(r) for r in requests]
         trajectories._integrated.cache_clear()
