@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one input check.
+
+`require_positive` is the single finite-and-positive check of a scalar
+parameter: every "must be finite and positive" ConfigurationError comes
+from it, so NaN and inf fail where a bare ``> 0`` would let inf through.
+"""
+
+import math
 
 
 class BolabError(Exception):
@@ -31,3 +38,11 @@ class DiagnosticError(BolabError):
 
 class ExperimentError(BolabError):
     """An experiment sweep produced no usable runs."""
+
+
+def require_positive(name: str, value) -> float:
+    """float(value) if it is finite and positive; otherwise a
+    ConfigurationError naming the parameter."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+    return float(value)

@@ -58,14 +58,13 @@ family; every table takes the Nyquist rule of ``grid._real_nyquist``.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError, EvolutionError, UsageError
+from .errors import ConfigurationError, EvolutionError, UsageError, require_positive
 from .grid import (Field, Grid, _real_nyquist, _spectrum_sobolev_norm, derivative,
                    hilbert, inner, integral, sobolev_norm)
 from .potential import PotentialSpec
@@ -285,10 +284,8 @@ class EvolveResult:
 def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
     """Steps of a run to t_end, once t_end and dt are finite and positive,
     t_end a multiple of dt and the snapshot stride at least 1."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigurationError(f"dt must be finite and positive, got {dt}")
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ConfigurationError(f"t_end must be finite and positive, got {t_end}")
+    require_positive("dt", dt)
+    require_positive("t_end", t_end)
     if snapshot_stride < 1:
         raise ConfigurationError(
             f"snapshot_stride must be at least 1, got {snapshot_stride}")

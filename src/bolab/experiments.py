@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, ExperimentError, UsageError
+from .errors import ConfigurationError, ExperimentError, UsageError, require_positive
 from .evolution import EvolutionState, evolve_pbo
 from .grid import Field, Grid, cell_l2_profile, sobolev_norm
 from .modulation import ParameterTrack, track_parameters, write_track_csv
@@ -62,8 +62,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"h values must be distinct to 6 significant digits, got {self.h_list}")
         for name in ("dt", "domain_length", "bump_width", "mu0", "delta_scale"):
-            if not (getattr(self, name) > 0):
-                raise ConfigurationError(f"{name} must be positive")
+            require_positive(name, getattr(self, name))
+        if not math.isfinite(self.bump_amplitude):
+            raise ConfigurationError(
+                f"bump_amplitude must be finite, got {self.bump_amplitude}")
         if self.snapshot_stride < 1:
             raise ConfigurationError(
                 f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
@@ -86,12 +88,16 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key == "h_list":
-            kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())
-        elif key in _CONFIG_TYPES:
-            kwargs[key] = _CONFIG_TYPES[key](val)
-        else:
-            raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            if key == "h_list":
+                kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())
+            elif key in _CONFIG_TYPES:
+                kwargs[key] = _CONFIG_TYPES[key](val)
+            else:
+                raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+        except ValueError:
+            raise ConfigurationError(
+                f"config line {lineno}: cannot read {key} = {val!r}") from None
     return ExperimentConfig(**kwargs)
 
 

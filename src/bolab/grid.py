@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require_positive
 
 
 class Grid:
@@ -44,11 +45,8 @@ class Grid:
         if n_points < 8 or (n_points & (n_points - 1)) != 0:
             raise ConfigurationError(
                 f"n_points must be a power of two >= 8, got {n_points}")
-        if not (math.isfinite(domain_length) and domain_length > 0):
-            raise ConfigurationError(
-                f"domain_length must be finite and positive, got {domain_length}")
         self.n_points = int(n_points)
-        self.domain_length = float(domain_length)
+        self.domain_length = require_positive("domain_length", domain_length)
         self.spacing = self.domain_length / self.n_points
         self.nodes = -self.domain_length / 2 + self.spacing * np.arange(self.n_points)
         self.nodes.setflags(write=False)
@@ -173,30 +171,23 @@ def derivative(f: Field) -> Field:
 
 
 def fractional_derivative(f: Field, s: float) -> Field:
-    """|xi|^s multiplier; for s < 0 the zero mode is set to 0."""
-    if s < -0.5:
-        raise ConfigurationError(f"fractional order {s} below supported floor -1/2")
+    """|xi|^s multiplier for an order s >= 0."""
+    if not (s >= 0):
+        raise ConfigurationError(f"fractional order must be >= 0, got {s}")
     xi = f.grid.rfft_wavenumbers
-    if s >= 0:
-        sym = xi ** s if s != 0 else np.ones_like(xi)
-    else:
-        sym = np.zeros_like(xi)
-        sym[1:] = xi[1:] ** s
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, xi ** s if s != 0 else np.ones_like(xi))
 
 
 def dgamma_inverse(f: Field, gamma: float) -> Field:
     """(1 + gamma*d/dy)^{-1}: multiplier (1 + i*gamma*xi)^{-1}; output real."""
-    if not (gamma > 0):
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+    require_positive("gamma", gamma)
     xi = f.grid.rfft_wavenumbers
     return apply_multiplier(f, 1.0 / (1.0 + 1j * gamma * xi))
 
 
 def dgamma_inverse_adjoint(f: Field, gamma: float) -> Field:
     """L2 adjoint of dgamma_inverse: multiplier (1 - i*gamma*xi)^{-1}."""
-    if not (gamma > 0):
-        raise ConfigurationError(f"gamma must be positive, got {gamma}")
+    require_positive("gamma", gamma)
     xi = f.grid.rfft_wavenumbers
     return apply_multiplier(f, 1.0 / (1.0 - 1j * gamma * xi))
 
@@ -316,19 +307,20 @@ def local_sup_norm(f: Field) -> float:
 # localizer
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class LocalizerSpec:
-    """Arctan localizer parameters: scale gamma in (0, 1], center y0."""
+    """Arctan localizer parameters: scale gamma in (0, 1], finite center y0.
+    Specs compare and hash by value."""
 
-    __slots__ = ("gamma", "y_center")
+    gamma: float
+    y_center: float = 0.0
 
-    def __init__(self, gamma: float, y_center: float = 0.0):
-        if not (0 < gamma <= 1):
-            raise ConfigurationError(f"localizer gamma must be in (0, 1], got {gamma}")
-        self.gamma = float(gamma)
-        self.y_center = float(y_center)
-
-    def __repr__(self):
-        return f"LocalizerSpec(gamma={self.gamma}, y_center={self.y_center})"
+    def __post_init__(self):
+        if not (0 < self.gamma <= 1):
+            raise ConfigurationError(f"localizer gamma must be in (0, 1], got {self.gamma}")
+        if not math.isfinite(self.y_center):
+            raise ConfigurationError(
+                f"localizer y_center must be finite, got {self.y_center}")
 
 
 def localizer(spec: LocalizerSpec, grid: Grid):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
-from .errors import ConfigurationError, DiagnosticError, UsageError
+from .errors import ConfigurationError, DiagnosticError, UsageError, require_positive
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
                    dgamma_inverse_adjoint, fractional_derivative, inner)
 from .soliton import closed_form_table, profile, profile_derivative, scaled_profile
@@ -55,8 +55,7 @@ class SymmetricOperator:
     @classmethod
     def linearized(cls, grid: Grid, c: float = 1.0) -> "SymmetricOperator":
         """L_c = c + D - c q(c y), the linearization around the soliton of scale c."""
-        if not (c > 0):
-            raise ConfigurationError("linearized requires c > 0")
+        require_positive("c", c)
         return cls(grid, c, 1.0, c * profile(c * grid.nodes))
 
     @classmethod

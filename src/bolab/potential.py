@@ -5,15 +5,20 @@ W(x) = beta * exp(-1/(1 - (x/width)^2)) inside |x| < width and zero
 outside, with closed-form W', W'', W''' (the corrected parameter ODE
 reads W''').  The free equation has no potential: the evolution layer
 and ``invariants`` take ``potential=None`` for it.
+
+`PotentialSpec` is a frozen dataclass: specs compare and hash by value,
+so the trajectory cache keys on the spec itself.  It checks the paper's
+domain: 0 < h <= 1, a finite amplitude and a finite, positive width.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive
 
 _BUMP_EDGE = 1.0 - 1e-12      # the bump is taken as zero from |s/width| = _BUMP_EDGE on
 
@@ -43,18 +48,21 @@ def _bump_chain(beta, w, t, r, phi):
             bp * (g3 + 3.0 * g1 * g2 + g1 * g1 * g1) * iw * iw * iw)
 
 
+@dataclass(frozen=True)
 class PotentialSpec:
     """The bump W (amplitude, width) plus the slow scale h; evaluates W and
-    its derivatives at shape arguments."""
+    its derivatives at shape arguments.  Specs compare and hash by value."""
 
-    def __init__(self, h: float, amplitude: float = 0.2, width: float = 1.0):
-        if not (0 < h <= 1):
-            raise ConfigurationError(f"h must lie in (0, 1], got {h}")
-        if not (width > 0):
-            raise ConfigurationError("bump width must be positive")
-        self.h = float(h)
-        self.amplitude = float(amplitude)
-        self.width = float(width)
+    h: float
+    amplitude: float = 0.2
+    width: float = 1.0
+
+    def __post_init__(self):
+        if not (0 < self.h <= 1):
+            raise ConfigurationError(f"h must lie in (0, 1], got {self.h}")
+        if not math.isfinite(self.amplitude):
+            raise ConfigurationError(f"amplitude must be finite, got {self.amplitude}")
+        require_positive("width", self.width)
 
     @classmethod
     def bump(cls, h: float, amplitude: float = 0.2, width: float = 1.0) -> "PotentialSpec":
@@ -99,14 +107,3 @@ class PotentialSpec:
     def sampled_potential(self, x):
         """V(x) = W(h*x) on physical coordinates x."""
         return self.shape_derivatives(self.h * np.asarray(x, dtype=float))[0]
-
-    def shape_key(self):
-        """Identity of the shape W alone: `key` without the slow scale h."""
-        return ("bump", self.amplitude, self.width)
-
-    def key(self):
-        return ("bump", self.h, self.amplitude, self.width)
-
-    def __repr__(self):
-        return (f"PotentialSpec(h={self.h}, bump, amplitude={self.amplitude}, "
-                f"width={self.width})")

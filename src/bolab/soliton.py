@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_positive
 from .grid import Field, Grid, derivative, hilbert, l2_norm
 
 
@@ -38,8 +38,7 @@ class SolitonParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0):
-            raise ConfigurationError(f"scale c must be positive, got {self.c}")
+        require_positive("scale c", self.c)
 
 
 def profile(y):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require_positive
 from .grid import Field, apply_multiplier, inner, l2_norm
 from .operators import run_arpack
 
@@ -63,8 +63,7 @@ def spectrum_below_continuum(op, threshold: float, margin: float = 0.1) -> Eigen
     largest k (n - 1) does not get there raises ConfigurationError, as
     does a margin that is not finite and positive.
     """
-    if not (math.isfinite(margin) and margin > 0):
-        raise ConfigurationError(f"margin must be finite and positive, got {margin}")
+    require_positive("margin", margin)
     grid = op.grid
     n = grid.n_points
     lin = _sample_map(n, lambda v: _apply_values(op, v))

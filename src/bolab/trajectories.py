@@ -15,14 +15,14 @@ reaches 1/2 or 2 (located by bisection); "never" is encoded as an
 explicit None, not a large float.
 
 Each integration runs once per process: `_integrated`, one bounded
-``functools.lru_cache``, owns the results and keys the reference flow
-by ``shape_key()`` (it does not involve h), ``s_end`` and ``ds``, and
-the corrected flow by ``key()``, ``s_end``, ``ds`` and y0.  Its arrays
-are read-only and shared; every public call wraps them in a fresh
-TrajectoryState.  So
-`gronwall_sweep` integrates the reference flow once per distinct shape
-W, and `bolab trajectories` does not integrate again, in its sweep,
-the two h = --h flows it has just written.
+``functools.lru_cache``, owns the results and keys them on
+(kind, spec, s_end, ds, y0).  A `PotentialSpec` compares by value, so
+the spec is its own key; the reference flow does not involve h and is
+keyed on its spec with h fixed at `_REFERENCE_H`.  Its arrays are
+read-only and shared; every public call wraps them in a fresh
+TrajectoryState.  So `gronwall_sweep` integrates the reference flow once
+per distinct shape W, and `bolab trajectories` does not integrate
+again, in its sweep, the two h = --h flows it has just written.
 
 The stepper carries (A, C) as a pair of Python floats and calls
 ``PotentialSpec.shape_derivatives`` with a scalar, so every right-hand
@@ -36,18 +36,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, UsageError, require_positive
 from .potential import PotentialSpec
 
 FRAMES = ("slow_s", "fast_t")
 KINDS = ("reference", "exact")
 SCALE_STOP_LOW = 0.5
 SCALE_STOP_HIGH = 2.0
+_REFERENCE_H = 1.0          # the reference flow's cache key does not vary with h
 
 
 @dataclass
@@ -145,37 +146,14 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool, y0):
     return np.array(times), arr[:, 0], arr[:, 1], stop
 
 
-def _check_span(s_end, ds):
-    if not (math.isfinite(s_end) and s_end > 0):
-        raise ConfigurationError(f"s_end must be finite and positive, got {s_end}")
-    if not (math.isfinite(ds) and ds > 0):
-        raise ConfigurationError(f"ds must be finite and positive, got {ds}")
-
-
-@dataclass(frozen=True)
-class _Flow:
-    """One integration request, hashed and compared by what the flow depends on.
-
-    ``key`` is ``shape_key()`` for the reference flow, which does not
-    involve h, and ``key()`` for the corrected flow; ``pot`` only
-    supplies W to the right-hand side.
-    """
-    kind: str
-    key: tuple
-    s_end: float
-    ds: float
-    y0: tuple
-    pot: PotentialSpec = field(compare=False)
-
-
 @functools.lru_cache(maxsize=16)
-def _integrated(flow: _Flow):
+def _integrated(kind: str, pot: PotentialSpec, s_end: float, ds: float, y0: tuple):
     """Read-only (times, A, C) and the stop time of one flow."""
-    if flow.kind == "reference":
-        rhs, detect_stop = _reference_rhs(flow.pot), True
+    if kind == "reference":
+        rhs, detect_stop = _reference_rhs(pot), True
     else:
-        rhs, detect_stop = exact_rhs(flow.pot), False
-    times, pos, sc, stop = _integrate(rhs, flow.s_end, flow.ds, detect_stop, flow.y0)
+        rhs, detect_stop = exact_rhs(pot), False
+    times, pos, sc, stop = _integrate(rhs, s_end, ds, detect_stop, y0)
     for v in (times, pos, sc):
         v.setflags(write=False)
     return times, pos, sc, stop
@@ -183,18 +161,18 @@ def _integrated(flow: _Flow):
 
 def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
     """Reference flow from (A, C)(0) = (0, 1); stops early if C hits 1/2 or 2."""
-    _check_span(s_end, ds)
-    times, pos, sc, stop = _integrated(_Flow("reference", pot.shape_key(), float(s_end),
-                                             float(ds), (0.0, 1.0), pot))
+    s_end, ds = require_positive("s_end", s_end), require_positive("ds", ds)
+    times, pos, sc, stop = _integrated("reference", replace(pot, h=_REFERENCE_H),
+                                       s_end, ds, (0.0, 1.0))
     return TrajectoryState("slow_s", "reference", times, pos, sc, stop_time=stop)
 
 
 def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
                     y0=(0.0, 1.0)) -> TrajectoryState:
     """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a)."""
-    _check_span(s_end, ds)
-    times, pos, sc, _ = _integrated(_Flow("exact", pot.key(), float(s_end), float(ds),
-                                          (float(y0[0]), float(y0[1])), pot))
+    s_end, ds = require_positive("s_end", s_end), require_positive("ds", ds)
+    times, pos, sc, _ = _integrated("exact", pot, s_end, ds,
+                                    (float(y0[0]), float(y0[1])))
     return TrajectoryState("slow_s", "exact", times, pos, sc)
 
 
@@ -205,8 +183,7 @@ def convert_frame(tr: TrajectoryState, h: float) -> TrajectoryState:
     """
     if tr.frame == "fast_t":
         raise UsageError("trajectory is already in frame 'fast_t'")
-    if not (h > 0):
-        raise ConfigurationError(f"h must be positive, got {h}")
+    require_positive("h", h)
     stop = tr.stop_time / h if tr.stop_time is not None else None
     return TrajectoryState("fast_t", tr.kind, tr.times / h, tr.positions / h,
                            tr.scales.copy(), stop_time=stop)
@@ -246,14 +223,16 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
     """Compare reference vs corrected flow across h and fit the deviation order.
 
     pot_factory(h) must return the potential at slow scale h.  The fitted
-    order is the log-log slope of sup|C_exact - C_reference| against h.
-    The reference flow does not involve h: the integration cache (see the
-    module docstring) runs it once per distinct shape
-    (`PotentialSpec.shape_key`) and every h with that shape shares its
-    read-only arrays.
+    order is the log-log slope of sup|C_exact - C_reference| against h, so
+    the h values must be distinct.  The reference flow does not involve h:
+    the integration cache (see the module docstring) runs it once per
+    distinct shape W and every h with that shape shares its read-only
+    arrays.
     """
     if len(h_values) < 2:
         raise UsageError("sweep needs at least two h values")
+    if len(set(h_values)) < len(h_values):
+        raise UsageError(f"sweep h values must be distinct, got {list(h_values)}")
     per_h = []
     for h in h_values:
         pot = pot_factory(h)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError
+from .errors import UsageError, require_positive
 from .evolution import EvolutionState, evolve_linearized
 from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
                    dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
@@ -55,8 +55,7 @@ def _time_trapezoid(values, dt: float) -> float:
 
 def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
     """Time-trapezoid of the localized half-derivative mass of the snapshots."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    require_positive("dt", dt)
     if len(snapshots) < 2:
         raise UsageError("need at least two snapshots")
     grid = snapshots[0].grid
@@ -91,8 +90,7 @@ def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
     one static forcing costs 10 FFTs per call; each snapshot term is one
     quadrature.
     """
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    require_positive("dt", dt)
     if len(v_snapshots) != len(f_snapshots):
         raise UsageError("v and f snapshot lists must match in length")
     if len(v_snapshots) < 2:
@@ -134,12 +132,13 @@ def _check_initial_orthogonality(v0: Field) -> None:
 def virial_sweep(run: LinearizedRunSpec, gammas, y0s) -> list:
     """VirialReports for every (gamma, y0, window) combination.
 
-    The evolution is computed once; each report integrates the localized
-    norm over the half window and the full window.  The headline claim
-    is that for fixed gamma the ratios are uniform across centers and
-    window lengths.
+    The localizer specs are checked before the evolution, which is
+    computed once; each report integrates the localized norm over the
+    half window and the full window.  The headline claim is that for
+    fixed gamma the ratios are uniform across centers and window lengths.
     """
-    if not gammas:
+    specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
+    if not specs:
         return []
     _check_initial_orthogonality(run.initial)
     res = evolve_linearized(EvolutionState(0.0, run.initial), run.t_end, run.dt,
@@ -151,19 +150,17 @@ def virial_sweep(run: LinearizedRunSpec, gammas, y0s) -> list:
     zero = Field.zeros(grid)
     f_field = run.forcing if run.forcing is not None else zero
     reports = []
-    for gamma in gammas:
-        for y0 in y0s:
-            spec = LocalizerSpec(gamma, y0)
-            for frac in (0.5, 1.0):
-                n_keep = max(2, int(round(frac * (len(fields) - 1))) + 1)
-                window = fields[:n_keep]
-                t_win = (n_keep - 1) * dt_snap
-                lhs = local_smoothing_lhs(window, dt_snap, spec)
-                rhs = max(l2_norm(f) for f in window) ** 2
-                grem = g_remainder(window, [f_field] * n_keep, dt_snap, spec, gamma)
-                denom = rhs + abs(grem)
-                reports.append(VirialReport(
-                    gamma=float(gamma), y0=float(y0), T=t_win, lhs=lhs,
-                    rhs_norm=rhs, g_remainder=grem,
-                    ratio=lhs / denom if denom > 0 else math.inf))
+    for spec in specs:
+        for frac in (0.5, 1.0):
+            n_keep = max(2, int(round(frac * (len(fields) - 1))) + 1)
+            window = fields[:n_keep]
+            t_win = (n_keep - 1) * dt_snap
+            lhs = local_smoothing_lhs(window, dt_snap, spec)
+            rhs = max(l2_norm(f) for f in window) ** 2
+            grem = g_remainder(window, [f_field] * n_keep, dt_snap, spec, spec.gamma)
+            denom = rhs + abs(grem)
+            reports.append(VirialReport(
+                gamma=float(spec.gamma), y0=float(spec.y_center), T=t_win, lhs=lhs,
+                rhs_norm=rhs, g_remainder=grem,
+                ratio=lhs / denom if denom > 0 else math.inf))
     return reports

@@ -169,6 +169,29 @@ def test_snapshot_stride_below_one_exits_2(tmp_path, capsys, command, stride):
     assert "error: snapshot_stride must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("trajectories", "bump_amplitude = nan", "bump_amplitude must be finite"),
+    ("theorem-sweep", "mu0 = inf", "mu0 must be finite and positive"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line, key):
+    # rejected where the config is read, before any integration or output
+    code = main(["--config", _small_config(tmp_path, f"{line}\n"), "--out", str(tmp_path),
+                 command])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {key}" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+def test_virial_rejects_a_non_finite_centre(tmp_path, capsys):
+    # the localizer specs are checked before the evolution
+    code = main(["--config", _small_config(tmp_path), "--out", str(tmp_path),
+                 "virial", "--y0s=0,nan"])
+    assert code == 2
+    assert "error: localizer y_center must be finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "virial.json").exists()
+
+
 @pytest.mark.parametrize("margin", ["nan", "-1"])
 def test_spectrum_margin_must_be_finite_and_positive(tmp_path, capsys, margin):
     code = main(["--out", str(tmp_path), "spectrum", "--n", "256", "--length", "64",

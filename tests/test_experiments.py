@@ -38,6 +38,14 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="unknown key"):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", ["threads = nan", "n_points = 1e3", "dt = fast",
+                                      "h_list = 0.1, x"])
+    def test_unreadable_value_rejected(self, line):
+        key, val = (part.strip() for part in line.split("="))
+        with pytest.raises(ConfigurationError,
+                           match=f"^config line 1: cannot read {key} = '{val}'$"):
+            parse_config(line)
+
     def test_threads_at_least_one(self):
         with pytest.raises(ConfigurationError):
             parse_config("threads = 0")
@@ -53,6 +61,22 @@ class TestParseConfig:
         # both h = 0.1 members would write track_h0p1.csv and trajectory_h0p1.csv
         with pytest.raises(ConfigurationError, match="h values must be distinct"):
             parse_config(line)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("key", ["dt", "domain_length", "bump_width", "mu0",
+                                     "delta_scale"])
+    def test_positive_keys_must_be_finite_and_positive(self, key, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{key} must be finite and positive, got {value}"):
+            parse_config(f"{key} = {value}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_bump_amplitude_must_be_finite(self, value):
+        with pytest.raises(ConfigurationError, match="^bump_amplitude must be finite"):
+            parse_config(f"bump_amplitude = {value}")
+        # a flat W and a well are in the domain
+        for legal in (0.0, -1.0):
+            assert parse_config(f"bump_amplitude = {legal}").bump_amplitude == legal
 
 
 class TestSweepLoop:

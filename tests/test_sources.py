@@ -122,6 +122,13 @@ def test_every_public_name_has_a_caller():
     assert _unreferenced(defining, referencing) == set(UNREFERENCED_ALLOWED)
 
 
+def test_one_finite_and_positive_check():
+    # every "must be finite and positive" error comes from errors.require_positive
+    hits = [p.name for p in SOURCES
+            if "must be finite and positive" in p.read_text(encoding="utf-8")]
+    assert hits == ["errors.py"]
+
+
 # Functions of the package that keep a functools cache, each with its
 # traffic as cache_info() hits/misses after a run; a cache that no
 # command or workload hits is deleted, and its function builds per call.

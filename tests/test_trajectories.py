@@ -5,6 +5,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from bolab import (ExperimentConfig, PotentialSpec, gronwall_compare,
                    gronwall_sweep, integrate_exact, integrate_reference,
                    trajectories)
-from bolab.errors import ConfigurationError
+from bolab.errors import ConfigurationError, UsageError
 from bolab.experiments import _horizon
 
 
@@ -138,12 +139,15 @@ class TestShapeDerivatives:
             assert pot.shape_derivatives(s) == (0.0, 0.0, 0.0, 0.0)
         assert pot.shape_derivatives(0.0)[0] == pytest.approx(0.2 * math.exp(-1.0))
 
-    def test_shape_key_is_key_without_h(self):
-        assert PotentialSpec.bump(0.1, 0.3, 1.5).key() == ("bump", 0.1, 0.3, 1.5)
-        assert PotentialSpec.bump(0.1, 0.3, 1.5).shape_key() == ("bump", 0.3, 1.5)
-        assert PotentialSpec.bump(0.1).shape_key() == PotentialSpec.bump(0.05).shape_key()
-        assert (PotentialSpec.bump(0.1).shape_key()
-                != PotentialSpec.bump(0.1, amplitude=0.3).shape_key())
+    def test_specs_compare_and_hash_by_value(self):
+        a, b = PotentialSpec.bump(0.1, 0.3, 1.5), PotentialSpec(0.1, 0.3, 1.5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        for other in (PotentialSpec.bump(0.05, 0.3, 1.5), PotentialSpec.bump(0.1, 0.2, 1.5),
+                      PotentialSpec.bump(0.1, 0.3, 1.0)):
+            assert other != a
+        assert replace(a, h=0.05) == PotentialSpec.bump(0.05, 0.3, 1.5)
+        with pytest.raises(FrozenInstanceError):
+            a.h = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +217,25 @@ class TestIntegrators:
     ])
     def test_sweep_integrates_reference_once_per_shape(self, monkeypatch,
                                                        factory, expected):
-        # counts the reference integrations that run, not the public calls
+        # records the amplitude of each reference integration that runs,
+        # not of the public calls
         calls = []
         real = trajectories._reference_rhs
         def counting(pot):
-            calls.append(pot.h)
+            calls.append(pot.amplitude)
             return real(pot)
         monkeypatch.setattr(trajectories, "_reference_rhs", counting)
         trajectories._integrated.cache_clear()
         gronwall_sweep(factory, (0.2, 0.1, 0.05), 0.5)
         assert calls == expected
+
+    @pytest.mark.parametrize("hs", [(0.1, 0.1), (0.2, 0.1, 0.2)])
+    def test_sweep_rejects_repeated_h(self, hs):
+        # two equal h give a degenerate log-log fit
+        trajectories._integrated.cache_clear()
+        with pytest.raises(UsageError, match="must be distinct"):
+            gronwall_sweep(lambda h: PotentialSpec.bump(h), hs, 0.5)
+        assert _cache_info().misses == 0
 
     def test_csv_cells_are_float_reprs(self, tmp_path):
         tr = integrate_exact(PotentialSpec.bump(0.1), 0.05)

@@ -110,7 +110,7 @@ class TestGRemainder:
         with pytest.raises(UsageError, match="at least two"):
             g_remainder(vs[:1], fs[:1], DT, SPEC, GAMMA)
         for dt in (0.0, -DT):
-            with pytest.raises(ConfigurationError, match="dt must be positive"):
+            with pytest.raises(ConfigurationError, match="dt must be finite and positive"):
                 g_remainder(vs, fs, dt, SPEC, GAMMA)
 
 
@@ -128,7 +128,7 @@ class TestLocalSmoothing:
         with pytest.raises(UsageError, match="at least two"):
             local_smoothing_lhs(vs[:1], DT, SPEC)
         for dt in (0.0, -DT):
-            with pytest.raises(ConfigurationError, match="dt must be positive"):
+            with pytest.raises(ConfigurationError, match="dt must be finite and positive"):
                 local_smoothing_lhs(vs, dt, SPEC)
 
 
