@@ -39,7 +39,7 @@ from .modulation import (Decomposition, ParameterTrack, decompose,
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,
                            gronwall_compare, gronwall_sweep,
                            integrate_exact, integrate_reference)
-from .virial import (LinearizedRunSpec, VirialReport, g_remainder,
-                     local_smoothing_lhs, virial_sweep)
+from .virial import (VirialReport, g_remainder, local_smoothing_lhs,
+                     virial_sweep)
 from .experiments import (ExperimentConfig, RunSummary, fit_scaling_exponent,
                           ode_residuals, run_theorem_sweep)

@@ -50,7 +50,7 @@ from .soliton import (SolitonParams, closed_form_table,
 from .spectral import spectrum_below_continuum
 from .trajectories import (convert_frame, gronwall_sweep, integrate_exact,
                            integrate_reference, write_trajectory_csv)
-from .virial import LinearizedRunSpec, virial_sweep
+from .virial import virial_sweep
 
 
 def _out_dir(cfg) -> Path:
@@ -188,11 +188,8 @@ def cmd_virial(args, cfg) -> list:
                       Field(grid, profile(y)), fqp)
     forcing = _project_off(Field(grid, np.exp(-((y + 5.0) / 6.0) ** 2)),
                            fqp, Field(grid, profile_second_derivative(y)))
-    run = LinearizedRunSpec(initial=(0.5 / l2_norm(v0)) * v0,
-                            forcing=(0.1 / l2_norm(forcing)) * forcing,
-                            t_end=args.t_end, dt=cfg.dt,
-                            snapshot_stride=cfg.snapshot_stride)
-    reports = virial_sweep(run, args.gammas, args.y0s)
+    reports = virial_sweep((0.5 / l2_norm(v0)) * v0, (0.1 / l2_norm(forcing)) * forcing,
+                           args.t_end, cfg.dt, cfg.snapshot_stride, args.gammas, args.y0s)
     _write_json(_out_dir(cfg) / "virial.json", [asdict(r) for r in reports])
     ratios = [r.ratio for r in reports]
     band = max(ratios) / min(ratios) if min(ratios) > 0 else None

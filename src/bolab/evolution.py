@@ -64,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError, EvolutionError, UsageError, require_positive
+from .errors import (ConfigurationError, EvolutionError, UsageError, require_count,
+                     require_positive)
 from .grid import (Field, Grid, _real_nyquist, _spectrum_sobolev_norm, derivative,
                    hilbert, inner, integral, sobolev_norm)
 from .potential import PotentialSpec
@@ -283,12 +284,10 @@ class EvolveResult:
 
 def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
     """Steps of a run to t_end, once t_end and dt are finite and positive,
-    t_end a multiple of dt and the snapshot stride at least 1."""
+    t_end a multiple of dt and the snapshot stride an integer of at least 1."""
     require_positive("dt", dt)
     require_positive("t_end", t_end)
-    if snapshot_stride < 1:
-        raise ConfigurationError(
-            f"snapshot_stride must be at least 1, got {snapshot_stride}")
+    require_count("snapshot_stride", snapshot_stride)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ConfigurationError("t_end must be an integer multiple of dt")

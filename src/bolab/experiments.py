@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, ExperimentError, UsageError, require_positive
+from .errors import (ConfigurationError, ExperimentError, UsageError, require_count,
+                     require_positive)
 from .evolution import EvolutionState, evolve_pbo
 from .grid import Field, Grid, cell_l2_profile, sobolev_norm
 from .modulation import ParameterTrack, track_parameters, write_track_csv
@@ -51,11 +52,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        Grid.require_size(self.n_points)
         if not self.h_list:
             raise ConfigurationError("h_list must be nonempty")
         for h in self.h_list:
-            if not (0 < h <= 1):
-                raise ConfigurationError(f"h values must lie in (0, 1], got {h}")
+            if not (0 < h < 1):
+                raise ConfigurationError(
+                    f"h_list values must lie in (0, 1), got {h}: the horizon "
+                    f"ln(1/h)/(4 mu0 h) is zero at h = 1")
         tags = [_member_tag(h) for h in self.h_list]
         if len(set(tags)) < len(tags):
             # two members with one tag would write the same CSV files
@@ -66,11 +70,8 @@ class ExperimentConfig:
         if not math.isfinite(self.bump_amplitude):
             raise ConfigurationError(
                 f"bump_amplitude must be finite, got {self.bump_amplitude}")
-        if self.snapshot_stride < 1:
-            raise ConfigurationError(
-                f"snapshot_stride must be at least 1, got {self.snapshot_stride}")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be at least 1, got {self.threads}")
+        require_count("snapshot_stride", self.snapshot_stride)
+        require_count("threads", self.threads)
 
 
 # each key's parser is its default's type; h_list is a comma-separated list
@@ -241,30 +242,18 @@ def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:
     return max(dt_snap, math.floor(t0 / dt_snap) * dt_snap)
 
 
-def _residual_reach(cfg: ExperimentConfig, h: float) -> float:
-    """s = h t of the member's last residual sample.
-
-    `ode_residuals` drops the last two snapshots, so that sample is the
-    third-to-last snapshot, T_h - 2 dt_snap, read as the evolution clocks
-    it (k dt after k steps) so that the member's own sample compares equal.
-    """
-    t_end = _horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width), h)
-    return h * ((round(t_end / cfg.dt) - 2 * cfg.snapshot_stride) * cfg.dt)
-
-
 def _member_tag(h: float) -> str:
     """The h tag of a member's CSV names: h0p05 for h = 0.05."""
     return f"h{h:g}".replace(".", "p")
 
 
-def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
+def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path,
                 s_max: float | None) -> SweepMember:
-    """One sweep member; its residual integrals cover s = h t <= s_max
-    (its whole horizon with None)."""
+    """One sweep member run to its horizon `t_end`; its residual integrals
+    cover s = h t <= s_max (its whole horizon with None)."""
     start = time.perf_counter()
     grid = Grid(cfg.n_points, cfg.domain_length)
     pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
-    t_end = _horizon(cfg, pot, h)
     delta = cfg.delta_scale * h ** 1.5
     q0 = soliton_field(grid, SolitonParams(0.0, 1.0))
     u0 = q0 + build_perturbation(grid, delta)
@@ -320,21 +309,30 @@ def _run_member(cfg: ExperimentConfig, h: float, out_dir: Path,
 def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Sweep the h list, fit the remainder and residual orders, write reports.
 
-    The residual integrals of every member cover one window of slow time,
-    s = h t <= s_max with s_max the least reach h (T_h - 2 dt_snap) of the
-    residual samples over the h list, so the order fit compares the same
-    stretch of W at each h.  Individual member failures are recorded and
-    the sweep continues; an empty successful set raises ExperimentError.
+    Each member's horizon T_h is computed once, before any member runs,
+    and is both the member's end time and the source of the common
+    window.  The residual integrals of every member cover one window of
+    slow time, s = h t <= s_max with s_max the least reach h (T_h -
+    2 dt_snap) of the residual samples over the h list, so the order fit
+    compares the same stretch of W at each h.  Individual member failures
+    are recorded and the sweep continues; an empty successful set raises
+    ExperimentError.
     """
     start = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    s_max = min(_residual_reach(cfg, h) for h in cfg.h_list)
+    horizons = [_horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width), h)
+                for h in cfg.h_list]
+    # `ode_residuals` drops the last two snapshots, so a member's last residual
+    # sample is T_h - 2 dt_snap, read as the evolution clocks it (k dt after
+    # k steps) so that the member's own sample compares equal
+    s_max = min(h * ((round(t_end / cfg.dt) - 2 * cfg.snapshot_stride) * cfg.dt)
+                for h, t_end in zip(cfg.h_list, horizons))
     members = []
     failures = []
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [(h, pool.submit(_run_member, cfg, h, out_dir, s_max))
-                   for h in cfg.h_list]
+        futures = [(h, pool.submit(_run_member, cfg, h, t_end, out_dir, s_max))
+                   for h, t_end in zip(cfg.h_list, horizons)]
         for h, future in futures:
             try:
                 members.append(future.result())

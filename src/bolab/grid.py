@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,23 @@ class Grid:
                  "rfft_wavenumbers")
 
     def __init__(self, n_points: int, domain_length: float):
-        if n_points < 8 or (n_points & (n_points - 1)) != 0:
-            raise ConfigurationError(
-                f"n_points must be a power of two >= 8, got {n_points}")
-        self.n_points = int(n_points)
+        self.n_points = Grid.require_size(n_points)
         self.domain_length = require_positive("domain_length", domain_length)
         self.spacing = self.domain_length / self.n_points
         self.nodes = -self.domain_length / 2 + self.spacing * np.arange(self.n_points)
         self.nodes.setflags(write=False)
         self.rfft_wavenumbers = 2 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
         self.rfft_wavenumbers.setflags(write=False)
+
+    @staticmethod
+    def require_size(n_points) -> int:
+        """int(n_points) if it is an integer power of two >= 8; otherwise a
+        ConfigurationError.  The one grid-size rule, which a config also
+        checks before anything runs."""
+        if not (isinstance(n_points, numbers.Integral) and n_points >= 8
+                and (n_points & (n_points - 1)) == 0):
+            raise ConfigurationError(f"n_points must be a power of two >= 8, got {n_points}")
+        return int(n_points)
 
     def __eq__(self, other):
         return (isinstance(other, Grid)

@@ -18,6 +18,11 @@ onto v through the adjoint gives one weight per forcing profile,
 
 so a window with one static forcing costs the 10 FFTs of W_f once and a
 quadrature per snapshot, rather than 10 FFTs per snapshot.
+
+The sweep keeps per-snapshot series and integrates prefixes of them: per
+center it costs one localized transform per snapshot plus one W_f, and
+every window, whatever its length, is a prefix of those two series and
+of the run's snapshot norms.
 """
 
 from __future__ import annotations
@@ -53,16 +58,20 @@ def _time_trapezoid(values, dt: float) -> float:
     return float(dt * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
 
+def _localized_masses(snapshots, spec: LocalizerSpec) -> list:
+    """||<D>^{1/2}(sqrt(g') v)||^2 of each snapshot v: one transform each."""
+    grid = snapshots[0].grid
+    _, gp = localizer(spec, grid)
+    sq = np.sqrt(gp.values)
+    return [sobolev_norm(Field(grid, sq * f.values), 0.5) ** 2 for f in snapshots]
+
+
 def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
     """Time-trapezoid of the localized half-derivative mass of the snapshots."""
     require_positive("dt", dt)
     if len(snapshots) < 2:
         raise UsageError("need at least two snapshots")
-    grid = snapshots[0].grid
-    _, gp = localizer(spec, grid)
-    sq = np.sqrt(gp.values)
-    vals = [sobolev_norm(Field(grid, sq * f.values), 0.5) ** 2 for f in snapshots]
-    return _time_trapezoid(vals, dt)
+    return _time_trapezoid(_localized_masses(snapshots, spec), dt)
 
 
 def _forcing_weight(f: Field, g_y0: Field, g_origin: Field, gamma: float) -> Field:
@@ -72,6 +81,21 @@ def _forcing_weight(f: Field, g_y0: Field, g_origin: Field, gamma: float) -> Fie
     dual_fy = dgamma_inverse(lin.apply(fy), gamma)
     back = dgamma_inverse_adjoint(g_origin * dual_fy, gamma)
     return g_y0 * fy + lin.apply(back)
+
+
+def _forcing_pairings(v_snapshots, f_snapshots, spec: LocalizerSpec, gamma: float) -> list:
+    """<v, W_f> of each snapshot pair (v, f); W_f is rebuilt only when the
+    forcing is not the same object as the previous snapshot's."""
+    grid = v_snapshots[0].grid
+    g_y0, _ = localizer(spec, grid)
+    g_origin, _ = localizer(LocalizerSpec(spec.gamma, 0.0), grid)
+    terms = []
+    weight = f_prev = None
+    for v, f in zip(v_snapshots, f_snapshots):
+        if f is not f_prev:
+            weight, f_prev = _forcing_weight(f, g_y0, g_origin, gamma), f
+        terms.append(inner(v, weight))
+    return terms
 
 
 def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
@@ -95,27 +119,7 @@ def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
         raise UsageError("v and f snapshot lists must match in length")
     if len(v_snapshots) < 2:
         raise UsageError("need at least two snapshots")
-    grid = v_snapshots[0].grid
-    g_y0, _ = localizer(spec, grid)
-    g_origin, _ = localizer(LocalizerSpec(spec.gamma, 0.0), grid)
-    term = []
-    weight = f_prev = None
-    for v, f in zip(v_snapshots, f_snapshots):
-        if f is not f_prev:
-            weight, f_prev = _forcing_weight(f, g_y0, g_origin, gamma), f
-        term.append(inner(v, weight))
-    return _time_trapezoid(term, dt)
-
-
-@dataclass
-class LinearizedRunSpec:
-    """Setup of a forced linearized evolution used by the sweep."""
-
-    initial: Field
-    forcing: Field | None
-    t_end: float
-    dt: float
-    snapshot_stride: int = 5
+    return _time_trapezoid(_forcing_pairings(v_snapshots, f_snapshots, spec, gamma), dt)
 
 
 def _check_initial_orthogonality(v0: Field) -> None:
@@ -129,38 +133,41 @@ def _check_initial_orthogonality(v0: Field) -> None:
                 f"initial data violates the <v, {name}> = 0 orthogonality")
 
 
-def virial_sweep(run: LinearizedRunSpec, gammas, y0s) -> list:
+def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
+                 snapshot_stride: int, gammas, y0s) -> list:
     """VirialReports for every (gamma, y0, window) combination.
 
-    The localizer specs are checked before the evolution, which is
-    computed once; each report integrates the localized norm over the
-    half window and the full window.  The headline claim is that for
-    fixed gamma the ratios are uniform across centers and window lengths.
+    The localizer specs are checked first, then the orthogonality of the
+    initial data; the forced linearized evolution from `initial` to
+    `t_end` is computed once.  Per run, the L2 norm of each snapshot is
+    taken once; per center, the localized mass and the forcing pairing
+    of each snapshot are taken once, so the half window and the full
+    window are prefixes of the same series.  The headline claim is that
+    for fixed gamma the ratios are uniform across centers and window
+    lengths.
     """
     specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
     if not specs:
         return []
-    _check_initial_orthogonality(run.initial)
-    res = evolve_linearized(EvolutionState(0.0, run.initial), run.t_end, run.dt,
-                            forcing=run.forcing,
-                            snapshot_stride=run.snapshot_stride)
+    _check_initial_orthogonality(initial)
+    res = evolve_linearized(EvolutionState(0.0, initial), t_end, dt, forcing=forcing,
+                            snapshot_stride=snapshot_stride)
     fields = [s.field for s in res.states]
     dt_snap = float(res.times[1] - res.times[0])
-    grid = run.initial.grid
-    zero = Field.zeros(grid)
-    f_field = run.forcing if run.forcing is not None else zero
+    norms = [l2_norm(f) for f in fields]
+    f_field = forcing if forcing is not None else Field.zeros(initial.grid)
     reports = []
     for spec in specs:
+        masses = _localized_masses(fields, spec)
+        pairings = _forcing_pairings(fields, [f_field] * len(fields), spec, spec.gamma)
         for frac in (0.5, 1.0):
             n_keep = max(2, int(round(frac * (len(fields) - 1))) + 1)
-            window = fields[:n_keep]
-            t_win = (n_keep - 1) * dt_snap
-            lhs = local_smoothing_lhs(window, dt_snap, spec)
-            rhs = max(l2_norm(f) for f in window) ** 2
-            grem = g_remainder(window, [f_field] * n_keep, dt_snap, spec, spec.gamma)
+            lhs = _time_trapezoid(masses[:n_keep], dt_snap)
+            rhs = max(norms[:n_keep]) ** 2
+            grem = _time_trapezoid(pairings[:n_keep], dt_snap)
             denom = rhs + abs(grem)
             reports.append(VirialReport(
-                gamma=float(spec.gamma), y0=float(spec.y_center), T=t_win, lhs=lhs,
-                rhs_norm=rhs, g_remainder=grem,
+                gamma=float(spec.gamma), y0=float(spec.y_center),
+                T=(n_keep - 1) * dt_snap, lhs=lhs, rhs_norm=rhs, g_remainder=grem,
                 ratio=lhs / denom if denom > 0 else math.inf))
     return reports

@@ -10,11 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from bolab import (Field, Grid, PotentialSpec, SolitonParams, SymmetricOperator,
-                   convert_frame, dgamma_inverse, g_remainder, integrate_exact,
-                   integrate_reference, local_smoothing_lhs,
+from bolab import (ExperimentConfig, Field, Grid, PotentialSpec, SolitonParams,
+                   SymmetricOperator, convert_frame, dgamma_inverse, g_remainder,
+                   integrate_exact, integrate_reference, local_smoothing_lhs,
                    spectrum_below_continuum)
-from bolab.errors import ConfigurationError, require_positive
+from bolab.errors import ConfigurationError, require_count, require_positive
 from bolab.evolution import _step_count
 from bolab.grid import LocalizerSpec, dgamma_inverse_adjoint
 
@@ -59,3 +59,26 @@ def test_rejects_non_finite_or_non_positive(name, call, value):
 def test_require_positive_returns_a_float(value, want):
     got = require_positive("x", value)
     assert type(got) is float and got == want
+
+
+# (name in the message, call with the count under test)
+COUNTS = [
+    ("snapshot_stride", lambda v: ExperimentConfig(snapshot_stride=v)),
+    ("threads", lambda v: ExperimentConfig(threads=v)),
+    ("snapshot_stride", lambda v: _step_count(1.0, 0.1, v)),
+]
+
+
+@pytest.mark.parametrize("value, rule", [(math.nan, "an integer"), (math.inf, "an integer"),
+                                         (2.5, "an integer"), (0, "at least 1")])
+@pytest.mark.parametrize("name, call", COUNTS,
+                         ids=[f"{k}-{name}" for k, (name, _) in enumerate(COUNTS)])
+def test_rejects_a_count_below_1_or_not_an_integer(name, call, value, rule):
+    with pytest.raises(ConfigurationError, match=f"^{name} must be {rule}, got {value}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(2)])
+def test_require_count_returns_an_int(value):
+    got = require_count("x", value)
+    assert type(got) is int and got == value

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bolab import cli
+from bolab import cli, experiments
 from bolab.cli import main
 from bolab.errors import ConfigurationError
 
@@ -181,6 +181,26 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, command, line, key):
     assert code == 2
     assert f"error: {key}" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+def test_theorem_sweep_rejects_h_one(tmp_path, capsys):
+    # h = 1 has a zero horizon; the config names h_list, not a later s_end
+    code = main(["--config", _small_config(tmp_path, "h_list = 1.0, 0.5, 0.25\n"),
+                 "--out", str(tmp_path), "theorem-sweep"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: h_list values must lie in (0, 1), got 1.0" in err
+    assert "zero at h = 1" in err and "s_end" not in err
+
+
+def test_theorem_sweep_checks_n_points_before_any_horizon(tmp_path, capsys, monkeypatch):
+    horizons = []
+    monkeypatch.setattr(experiments, "_horizon", lambda *args: horizons.append(args))
+    code = main(["--config", _small_config(tmp_path, "n_points = 1000\n"),
+                 "--out", str(tmp_path), "theorem-sweep"])
+    err = capsys.readouterr().err
+    assert code == 2 and horizons == []
+    assert err == "error: n_points must be a power of two >= 8, got 1000\n"
 
 
 def test_virial_rejects_a_non_finite_centre(tmp_path, capsys):

@@ -10,8 +10,8 @@ import pytest
 from bolab import (ConfigurationError, Decomposition, ExperimentConfig, Field,
                    Grid, ParameterTrack, PotentialSpec, SolitonParams,
                    fit_scaling_exponent, ode_residuals, run_theorem_sweep)
-from bolab import experiments
-from bolab.experiments import SweepMember, _run_member, parse_config
+from bolab import experiments, trajectories
+from bolab.experiments import SweepMember, _horizon, _run_member, parse_config
 
 
 class TestParseConfig:
@@ -55,6 +55,20 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="snapshot_stride must be at least 1"):
             parse_config(line)
 
+    @pytest.mark.parametrize("line", ["h_list = 1.0, 0.5, 0.25", "h_list = 0.1, 1",
+                                      "h_list = 0.1, 0", "h_list = nan"])
+    def test_h_values_lie_below_one(self, line):
+        # T0 = ln(1/h)/(4 mu0 h) is zero at h = 1
+        with pytest.raises(ConfigurationError,
+                           match=r"^h_list values must lie in \(0, 1\), got .*zero at h = 1$"):
+            parse_config(line)
+
+    @pytest.mark.parametrize("value", ["1000", "4", "0", "-8"])
+    def test_n_points_follows_the_grid_rule(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^n_points must be a power of two >= 8, got {value}$"):
+            parse_config(f"n_points = {value}")
+
     @pytest.mark.parametrize("line", ["h_list = 0.1, 0.1, 0.05",
                                       "h_list = 0.1, 0.1000001"])
     def test_h_values_name_distinct_files(self, line):
@@ -83,7 +97,7 @@ class TestSweepLoop:
     H_LIST = (0.1, 0.08, 0.05, 0.025)
 
     @staticmethod
-    def _fake_member(cfg, h, out_dir, s_max):
+    def _fake_member(cfg, h, t_end, out_dir, s_max):
         if h == 0.05:
             raise ValueError("stub failure")
         if h == TestSweepLoop.H_LIST[0]:
@@ -122,12 +136,24 @@ class TestSweepLoop:
         assert summaries[0].members == summaries[1].members
         assert summaries[0].fitted_remainder_order == pytest.approx(1.5, rel=1e-12)
 
+    def test_each_flow_is_integrated_once(self, tmp_path):
+        # one reference flow per horizon and one corrected flow per member:
+        # each member's horizon is computed once, before the members run
+        cfg = ExperimentConfig(n_points=1024, domain_length=128.0,
+                               h_list=(0.2, 0.1, 0.05), out_dir=str(tmp_path))
+        trajectories._integrated.cache_clear()
+        s = run_theorem_sweep(cfg)
+        info = trajectories._integrated.cache_info()
+        assert s.failures == []
+        assert (info.hits, info.misses) == (0, 6)
+
 
 class TestRunMember:
     def test_corrected_ode_starts_from_the_first_fit(self, tmp_path):
         h = 0.2
         cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
-        m = _run_member(cfg, h, tmp_path, None)
+        pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
+        m = _run_member(cfg, h, _horizon(cfg, pot, h), tmp_path, None)
         first_fit = np.loadtxt(m.csv_track, delimiter=",", skiprows=1, max_rows=1)
         start = np.loadtxt(m.csv_trajectory, delimiter=",", skiprows=1, max_rows=1,
                            usecols=(0, 1, 2))

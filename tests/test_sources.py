@@ -74,7 +74,7 @@ UNREFERENCED_ALLOWED = {
         ("constrained_min_rayleigh", "angle_lemma_bound", "commutator_probe",
          "quadratic_form"),
         "a paper lemma behind the virial estimate, tested and waiting for a "
-        "CLI gate (ROADMAP item 3)"),
+        "CLI gate (ROADMAP item 7)"),
     "read_checkpoint": "the reader of the final.bosl that `bolab evolve` writes",
     "eigenfunction_field": "the closed-form bound states e+ and e- of L, the "
                            "oracle of the operator and soliton tests",
@@ -133,13 +133,13 @@ def test_one_finite_and_positive_check():
 # traffic as cache_info() hits/misses after a run; a cache that no
 # command or workload hits is deleted, and its function builds per call.
 CACHES_ALLOWED = {
-    "_sobolev_weight": "grid: hits/misses 197/1 in `bolab evolve`, 905/1 in "
+    "_sobolev_weight": "grid: hits/misses 197/1 in `bolab evolve`, 602/1 in "
                        "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
                        "in the member-h0.05 workload",
     "_cell_layout": "grid: hits/misses 65/1 in `bolab evolve`, 1153/1 in "
                     "`bolab theorem-sweep`, 299/1 in the member-h0.05 workload",
     "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
-                   "its workload, 3/6 in `bolab theorem-sweep`, 24/16 over "
+                   "its workload, 0/6 in `bolab theorem-sweep`, 23/17 over "
                    "the test suite",
 }
 CACHE_DECORATORS = {"lru_cache", "cache"}

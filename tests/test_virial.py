@@ -6,10 +6,10 @@ import pytest
 import scipy.fft
 
 from bolab import (ConfigurationError, EvolutionState, Field, Grid,
-                   LinearizedRunSpec, LocalizerSpec, SymmetricOperator,
-                   UsageError, derivative, evolve_linearized, g_remainder,
-                   inner, l2_norm, local_smoothing_lhs, localizer,
-                   sobolev_norm, virial_sweep)
+                   LocalizerSpec, SymmetricOperator, UsageError, derivative,
+                   evolve_linearized, g_remainder, inner, l2_norm,
+                   local_smoothing_lhs, localizer, sobolev_norm, virial_sweep)
+from bolab import virial
 from bolab.grid import dgamma_inverse, dgamma_inverse_adjoint
 from bolab.soliton import profile, profile_derivative
 
@@ -137,16 +137,16 @@ def _run(grid):
     v0 = _bump(grid, 3.0, 5.0) * Field(grid, np.sin(0.8 * y))
     for g in (Field(grid, profile(y)), Field(grid, profile_derivative(y))):
         v0 = v0 - (inner(v0, g) / inner(g, g)) * g
-    return LinearizedRunSpec(initial=v0, forcing=0.1 * _bump(grid, -5.0, 6.0),
-                             t_end=0.5, dt=0.01, snapshot_stride=5)
+    # initial, forcing, t_end, dt, snapshot_stride
+    return v0, 0.1 * _bump(grid, -5.0, 6.0), 0.5, 0.01, 5
 
 
 def test_sweep_matches_per_window_calls(grid):
-    run = _run(grid)
+    initial, forcing, t_end, dt, stride = run = _run(grid)
     gammas, y0s = (0.05, 0.2), (-10.0, 0.0)
-    reports = virial_sweep(run, gammas, y0s)
-    res = evolve_linearized(EvolutionState(0.0, run.initial), run.t_end, run.dt,
-                            forcing=run.forcing, snapshot_stride=run.snapshot_stride)
+    reports = virial_sweep(*run, gammas, y0s)
+    res = evolve_linearized(EvolutionState(0.0, initial), t_end, dt,
+                            forcing=forcing, snapshot_stride=stride)
     fields = [s.field for s in res.states]
     dt_snap = float(res.times[1] - res.times[0])
     assert len(reports) == 2 * len(gammas) * len(y0s)
@@ -161,5 +161,30 @@ def test_sweep_matches_per_window_calls(grid):
                 assert r.lhs == local_smoothing_lhs(window, dt_snap, spec)
                 assert r.rhs_norm == max(l2_norm(f) for f in window) ** 2
                 assert r.g_remainder == g_remainder(
-                    window, [run.forcing] * n_keep, dt_snap, spec, gamma)
+                    window, [forcing] * n_keep, dt_snap, spec, gamma)
                 assert r.ratio == r.lhs / (r.rhs_norm + abs(r.g_remainder))
+
+
+def test_sweep_transforms_each_snapshot_once_per_centre(grid, monkeypatch):
+    # after the evolution, each centre costs one localized transform per
+    # snapshot and one forcing weight (10 FFTs), whatever the windows
+    calls = []
+    for name in ("rfft", "irfft"):
+        original = getattr(scipy.fft, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    evolutions = []
+
+    def evolve_then_count(*args, **kwargs):
+        res = evolve_linearized(*args, **kwargs)
+        evolutions.append(len(res.states))
+        calls.clear()
+        return res
+    monkeypatch.setattr(virial, "evolve_linearized", evolve_then_count)
+    gammas, y0s = (0.05, 0.2), (-10.0, 0.0)
+    reports = virial_sweep(*_run(grid), gammas, y0s)
+    assert evolutions == [11] and len(reports) == 8
+    assert len(calls) == len(gammas) * len(y0s) * (11 + 10)
