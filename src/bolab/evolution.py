@@ -9,10 +9,16 @@ symbols).  The pBO flux u (V - u/2) is dealiased as a whole by the 2/3
 rule; the linearized equation has no quadratic term and runs undealiased
 so that exact stationary states stay stationary to the quadrature floor.
 
-Both flows run through one driver, ``_evolve``.  It transforms the
-initial field once and keeps the ETDRK4 state as its rfft spectrum from
-the first step to the last; a snapshot is one irfft into a ``Field``
-(time t0 + k*dt after k steps).  Three guards stop a run with
+Both flows run through one driver, ``_evolve``, a generator that yields
+each snapshot as the step loop reaches it: the initial state, every
+stride-th state and the last.  It transforms the initial field once and
+keeps the ETDRK4 state as its rfft spectrum from the first step to the
+last; a snapshot is one irfft into a ``Field`` (time t0 + k*dt after k
+steps).  ``_pbo_snapshots`` and ``_linearized_snapshots`` check their
+inputs and build their flow before the stream starts, so a bad input
+fails at the call, not at the first snapshot; ``evolve_pbo`` and
+``evolve_linearized`` return their stream collected, and the sweeps read
+it once without keeping it.  Three guards stop a run with
 ``EvolutionError``: the finiteness check after every step, and, for
 pBO, at each snapshot, the blow-up guard (H^{1/2} norm above
 ``BLOWUP_FACTOR`` = 10 times its initial value) and the seam guard (the
@@ -295,17 +301,19 @@ def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
 
 
 def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: int,
-            flow, guard=None) -> EvolveResult:
-    """Take n_steps steps from `initial`, keeping every stride-th state and the last.
+            flow, guard=None):
+    """Take n_steps steps from `initial`, yielding it, every stride-th state
+    and the last, each as the step loop reaches it.
 
     The state stays in Fourier space between snapshots; a snapshot is one
     irfft, timed t0 + k*dt after k steps, then passed to `guard` together
-    with its spectrum.
+    with its spectrum.  A generator body runs only at the first `next`, so
+    callers check their inputs before they build it.
     """
     tables, nonlinear = flow
     grid = initial.field.grid
     t0 = initial.time
-    states = [initial]
+    yield initial
     uh = scipy.fft.rfft(initial.field.values)
     out = np.empty_like(uh)
     stages = np.empty((9,) + uh.shape, dtype=uh.dtype)
@@ -320,19 +328,18 @@ def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: i
                                    initial.potential)
             if guard is not None:
                 guard(state, uh)
-            states.append(state)
+            yield state
+
+
+def _collect(snapshots) -> EvolveResult:
+    states = list(snapshots)
     return EvolveResult(states=states, times=np.array([s.time for s in states]))
 
 
-def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
-               snapshot_stride: int = 1) -> EvolveResult:
-    """ETDRK4 run of u_t = d_x(-H u_x + V u - u^2/2) to t_end, with
-    snapshots every `snapshot_stride` steps.
-
-    Aborts with EvolutionError at a snapshot whose H^{1/2} norm exceeds
-    BLOWUP_FACTOR times its initial value (the blow-up guard), or whose
-    field maximum lies within L/4 of the periodic seam (the seam guard).
-    """
+def _pbo_snapshots(initial: EvolutionState, t_end: float, dt: float,
+                   snapshot_stride: int = 1):
+    """The snapshot stream of `evolve_pbo`, its inputs checked and its
+    guards built before the first step."""
     n_steps = _step_count(t_end, dt, snapshot_stride)
     grid = initial.field.grid
     guard_norm = BLOWUP_FACTOR * max(sobolev_norm(initial.field, 0.5), 1e-12)
@@ -350,6 +357,26 @@ def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
                    _pbo_flow(grid, dt, initial.potential), guard)
 
 
+def evolve_pbo(initial: EvolutionState, t_end: float, dt: float,
+               snapshot_stride: int = 1) -> EvolveResult:
+    """ETDRK4 run of u_t = d_x(-H u_x + V u - u^2/2) to t_end, with
+    snapshots every `snapshot_stride` steps.
+
+    Aborts with EvolutionError at a snapshot whose H^{1/2} norm exceeds
+    BLOWUP_FACTOR times its initial value (the blow-up guard), or whose
+    field maximum lies within L/4 of the periodic seam (the seam guard).
+    """
+    return _collect(_pbo_snapshots(initial, t_end, dt, snapshot_stride))
+
+
+def _linearized_snapshots(initial: EvolutionState, t_end: float, dt: float,
+                          forcing: Field | None = None, snapshot_stride: int = 1):
+    """The snapshot stream of `evolve_linearized`, its inputs checked first."""
+    n_steps = _step_count(t_end, dt, snapshot_stride)
+    return _evolve(initial, n_steps, dt, snapshot_stride,
+                   _linearized_flow(initial.field.grid, dt, forcing))
+
+
 def evolve_linearized(initial: EvolutionState, t_end: float, dt: float,
                       forcing: Field | None = None,
                       snapshot_stride: int = 1) -> EvolveResult:
@@ -359,9 +386,7 @@ def evolve_linearized(initial: EvolutionState, t_end: float, dt: float,
     the rank-one drift projector, and the forcing make up the bounded
     remainder.
     """
-    n_steps = _step_count(t_end, dt, snapshot_stride)
-    return _evolve(initial, n_steps, dt, snapshot_stride,
-                   _linearized_flow(initial.field.grid, dt, forcing))
+    return _collect(_linearized_snapshots(initial, t_end, dt, forcing, snapshot_stride))
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import (ConfigurationError, ExperimentError, UsageError, require_count,
                      require_positive)
-from .evolution import EvolutionState, evolve_pbo
+from .evolution import EvolutionState, _pbo_snapshots
 from .grid import Field, Grid, cell_l2_profile, sobolev_norm
-from .modulation import ParameterTrack, track_parameters, write_track_csv
+from .modulation import _TRACK_HEADER, ParameterTrack, _fits, _track_row
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
 from .trajectories import (convert_frame, exact_rhs, integrate_exact,
@@ -163,28 +163,36 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec,
     With `s_max`, the table and its integrals keep only the samples at
     slow time s = h t <= s_max.
     """
-    if len(track) < 5:
+    table = _residuals(track.times, track.a, track.c, pot)
+    return table if s_max is None else _window(table, pot.h, s_max)
+
+
+def _residuals(t, a, c, pot: PotentialSpec) -> ResidualTable:
+    """The full `ode_residuals` table of the samples (t, a, c)."""
+    if len(t) < 5:
         raise UsageError("need at least 5 track samples for 4th-order differences")
-    t = track.times
     dts = np.diff(t)
     if np.max(np.abs(dts - dts[0])) > 1e-9 * max(dts[0], 1e-300):
         raise UsageError("track samples must be uniformly spaced in time")
     dt = float(dts[0])
-    a, c = track.a, track.c
     adot = _central_derivative_4(a, dt)
     cdot = _central_derivative_4(c, dt)
     h = pot.h
     rhs_a, rhs_c = exact_rhs(pot)(h * a[2:-2], c[2:-2])
-    res_a = adot - rhs_a
-    res_c = cdot - h * rhs_c
-    ti = t[2:-2]
-    if s_max is not None:
-        keep = h * ti <= s_max
-        ti, res_a, res_c = ti[keep], res_a[keep], res_c[keep]
-    integral_a = float(np.trapezoid(np.abs(res_a), ti)) if ti.size > 1 else 0.0
-    integral_c = float(np.trapezoid(np.abs(res_c), ti)) if ti.size > 1 else 0.0
-    return ResidualTable(times=ti, residual_a=res_a, residual_c=res_c,
-                         integral_a=integral_a, integral_c=integral_c)
+    return _table(t[2:-2], adot - rhs_a, cdot - h * rhs_c)
+
+
+def _table(times, res_a, res_c) -> ResidualTable:
+    def integral(res):
+        return float(np.trapezoid(np.abs(res), times)) if times.size > 1 else 0.0
+    return ResidualTable(times=times, residual_a=res_a, residual_c=res_c,
+                         integral_a=integral(res_a), integral_c=integral(res_c))
+
+
+def _window(table: ResidualTable, h: float, s_max: float) -> ResidualTable:
+    """The samples of `table` at slow time s = h t <= s_max, integrated anew."""
+    keep = h * table.times <= s_max
+    return _table(table.times[keep], table.residual_a[keep], table.residual_c[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -247,99 +255,105 @@ def _member_tag(h: float) -> str:
     return f"h{h:g}".replace(".", "p")
 
 
-def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path,
-                s_max: float | None) -> SweepMember:
-    """One sweep member run to its horizon `t_end`; its residual integrals
-    cover s = h t <= s_max (its whole horizon with None)."""
+def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
+    """One sweep member run to its horizon `t_end`, read in one pass.
+
+    Each snapshot is fitted as the evolution yields it, compared with the
+    corrected trajectory (seeded from the first fit), and reduced to
+    scalars: its envelope ratio, its remainder's cell masses and its
+    track-CSV row, both from one remainder.  The first fault in time
+    order stops the member.  Returns the member, whose residual integrals
+    cover its whole horizon, and its residual table.
+    """
     start = time.perf_counter()
     grid = Grid(cfg.n_points, cfg.domain_length)
     pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
     delta = cfg.delta_scale * h ** 1.5
     q0 = soliton_field(grid, SolitonParams(0.0, 1.0))
     u0 = q0 + build_perturbation(grid, delta)
-    res = evolve_pbo(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
-                     snapshot_stride=cfg.snapshot_stride)
-    track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
-    if track.c.min() < 0.5 or track.c.max() > 2.0:
-        raise ExperimentError(
-            f"scale parameter left the window [1/2, 2]: "
-            f"range ({track.c.min():.3g}, {track.c.max():.3g})")
-
-    # corrected parameter trajectory from the first fit, resampled at the
-    # snapshot times
-    ex_slow = integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12), ds=1e-3,
-                              y0=(h * track.a[0], track.c[0]))
-    ex = convert_frame(ex_slow, h)
-    a_hat = CubicSpline(ex.times, ex.positions)(res.times)
-    c_hat = CubicSpline(ex.times, ex.scales)(res.times)
-
+    snapshots = _pbo_snapshots(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
+                               cfg.snapshot_stride)
     mu0h = cfg.mu0 * h
-    ratios = []
-    cell_mass = None
-    for k, state in enumerate(res.states):
-        qhat = soliton_field(grid, SolitonParams(float(a_hat[k]), float(c_hat[k])))
-        dev = sobolev_norm(state.field - qhat, 0.5)
-        ratios.append(dev / math.exp(mu0h * state.time))
-        _, cells = cell_l2_profile(track.decompositions[k].remainder)
-        weight = 1.0 if 0 < k < len(res.states) - 1 else 0.5
-        mass = weight * cells ** 2
-        cell_mass = mass if cell_mass is None else cell_mass + mass
-    dt_snap = float(res.times[1] - res.times[0])
-    sup_local = float(np.sqrt(np.max(cell_mass * dt_snap)))
+    times, a, c, ratios, rows = [], [], [], [], []
+    for k, (t, d) in enumerate(_fits(snapshots, "symplectic", SolitonParams(0.0, 1.0))):
+        times.append(t)
+        a.append(d.params.a)
+        c.append(d.params.c)
+        if not 0.5 <= d.params.c <= 2.0:
+            raise ExperimentError(f"scale parameter left the window [1/2, 2]: "
+                                  f"range ({min(c):.3g}, {max(c):.3g})")
+        r = d.remainder
+        rows.append(_track_row(t, d, r))
+        # the cell masses' time trapezoid, end weights 1/2, added in time order
+        sq = cell_l2_profile(r)[1] ** 2
+        if k == 0:
+            cell_mass = 0.5 * sq
+            # the corrected parameter trajectory from the first fit
+            ex = convert_frame(integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12),
+                                               ds=1e-3, y0=(h * a[0], c[0])), h)
+            a_hat = CubicSpline(ex.times, ex.positions)
+            c_hat = CubicSpline(ex.times, ex.scales)
+        elif k > 1:
+            cell_mass += last_sq
+        last_sq = sq
+        qhat = soliton_field(grid, SolitonParams(float(a_hat(t)), float(c_hat(t))))
+        ratios.append(sobolev_norm(d.field - qhat, 0.5) / math.exp(mu0h * t))
+    sup_local = float(np.sqrt(np.max((cell_mass + 0.5 * last_sq) * (times[1] - times[0]))))
 
-    resid = ode_residuals(track, pot, s_max)
+    table = _residuals(np.array(times), np.array(a), np.array(c), pot)
     tag = _member_tag(h)
     csv_track = str(out_dir / f"track_{tag}.csv")
     csv_traj = str(out_dir / f"trajectory_{tag}.csv")
-    write_track_csv(csv_track, track)
+    with open(csv_track, "w", newline="") as fh:
+        fh.write(_TRACK_HEADER + "".join(rows))
     write_trajectory_csv(csv_traj, ex)
     k_sup = int(np.argmax(ratios))
     return SweepMember(
         h=h, t_end=t_end, sup_envelope_ratio=ratios[k_sup],
-        sup_envelope_time=float(res.times[k_sup]), envelope_ratio_t0=ratios[0],
+        sup_envelope_time=times[k_sup], envelope_ratio_t0=ratios[0],
         sup_local_time_norm=sup_local,
-        residual_a_integral=resid.integral_a,
-        residual_c_integral=resid.integral_c,
-        residual_c_integral_full=ode_residuals(track, pot).integral_c,
-        scale_range=(float(track.c.min()), float(track.c.max())),
+        residual_a_integral=table.integral_a,
+        residual_c_integral=table.integral_c,
+        residual_c_integral_full=table.integral_c,
+        scale_range=(min(c), max(c)),
         wall_seconds=time.perf_counter() - start,
-        csv_track=csv_track, csv_trajectory=csv_traj)
+        csv_track=csv_track, csv_trajectory=csv_traj), table
 
 
 def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
     """Sweep the h list, fit the remainder and residual orders, write reports.
 
-    Each member's horizon T_h is computed once, before any member runs,
-    and is both the member's end time and the source of the common
-    window.  The residual integrals of every member cover one window of
-    slow time, s = h t <= s_max with s_max the least reach h (T_h -
-    2 dt_snap) of the residual samples over the h list, so the order fit
-    compares the same stretch of W at each h.  Individual member failures
-    are recorded and the sweep continues; an empty successful set raises
-    ExperimentError.
+    Each member's horizon T_h is computed once, before any member runs.
+    Once the members finish, the residual integrals of every successful
+    member are taken from its one residual table over one window of slow
+    time, s = h t <= s_max, with s_max the least reach h t of the last
+    residual sample (T_h - 2 dt_snap) over the members that succeeded, so
+    the order fit compares the same stretch of W at each h and a failed
+    member sets nothing.  Individual member failures are recorded and the
+    sweep continues; an empty successful set raises ExperimentError.
     """
     start = time.perf_counter()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     horizons = [_horizon(cfg, PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width), h)
                 for h in cfg.h_list]
-    # `ode_residuals` drops the last two snapshots, so a member's last residual
-    # sample is T_h - 2 dt_snap, read as the evolution clocks it (k dt after
-    # k steps) so that the member's own sample compares equal
-    s_max = min(h * ((round(t_end / cfg.dt) - 2 * cfg.snapshot_stride) * cfg.dt)
-                for h, t_end in zip(cfg.h_list, horizons))
-    members = []
+    runs = []
     failures = []
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [(h, pool.submit(_run_member, cfg, h, t_end, out_dir, s_max))
+        futures = [(h, pool.submit(_run_member, cfg, h, t_end, out_dir))
                    for h, t_end in zip(cfg.h_list, horizons)]
         for h, future in futures:
             try:
-                members.append(future.result())
+                runs.append(future.result())
             except Exception as exc:       # member failures are data
                 failures.append({"h": h, "error": f"{type(exc).__name__}: {exc}"})
-    if not members:
+    if not runs:
         raise ExperimentError(f"all sweep members failed: {failures}")
+    s_max = min(m.h * float(table.times[-1]) for m, table in runs)
+    for m, table in runs:
+        window = _window(table, m.h, s_max)
+        m.residual_a_integral, m.residual_c_integral = window.integral_a, window.integral_c
+    members = [m for m, _ in runs]
 
     def safe_fit(values):
         try:

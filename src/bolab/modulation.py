@@ -13,7 +13,10 @@ read-only, so the reference is safe, and it keeps that field alive.
 `Decomposition.remainder` rebuilds the remainder on each access,
 recentered so that the fitted soliton sits at the origin, bit for bit
 the one the Newton loop measured; a rebuild is two FFTs, about 0.4 ms at
-N = 8192.  A track thus holds no field beyond the snapshots it fitted.
+N = 8192.  A `ParameterTrack` thus holds its snapshots and no other
+field.  `track_parameters` collects the fits of one stream, `_fits`, which
+yields each fit as its snapshot arrives; a sweep member reads that stream
+once and keeps no track, only scalars and the CSV row of each fit.
 """
 
 from __future__ import annotations
@@ -53,11 +56,9 @@ class Decomposition:
 
     @property
     def remainder(self) -> Field:
-        a, c = self.params.a, self.params.c
+        # zeta of the Newton loop, whose m1 = c q(z) takes the same operations
         u = self.field
-        # zeta of the Newton loop: m1 = c q(z) there, with the same operations
-        zeta = u.values - c * profile(c * (u.grid.nodes - a))
-        return translate(Field(u.grid, zeta), a)
+        return translate(u - soliton_field(u.grid, self.params), self.params.a)
 
 
 def _constraint_fields(grid: Grid, a: float, c: float):
@@ -157,18 +158,15 @@ class ParameterTrack:
         return len(self.decompositions)
 
 
-def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> ParameterTrack:
-    """Decompose a snapshot sequence, warm-starting each fit from the last.
+def _fits(snapshots, regime: str, initial_guess: SolitonParams):
+    """Yield (time, fit) for each snapshot as it arrives, warm-starting each
+    fit from the last.
 
     The soliton travels at speed c, so each fit starts from the previous
     one moved forward: (a + c*dt, c).  Consecutive fits must be close:
     the translation parameter may move at most 2*c*dt between them
-    (continuity guard, against the previous fit).  Each fit refers to its
-    snapshot's field, so the track keeps the snapshots alive and no other
-    field.
+    (continuity guard, against the previous fit).
     """
-    decomps = []
-    times = []
     prev = prev_time = None
     for k, snap in enumerate(snapshots):
         if prev is None:
@@ -186,10 +184,30 @@ def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> Pa
                 raise DecompositionError(
                     f"snapshot {k}: parameter jump |da| = {jump:.3g} "
                     f"exceeds continuity bound")
-        decomps.append(d)
-        times.append(snap.time)
+        yield snap.time, d
         prev, prev_time = d.params, snap.time
-    return ParameterTrack(times=np.array(times), decompositions=decomps)
+
+
+def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> ParameterTrack:
+    """Decompose a snapshot sequence, warm-starting each fit from the last.
+
+    The fits are those of `_fits`, collected.  Each fit refers to its
+    snapshot's field, so the track keeps the snapshots alive and no other
+    field.
+    """
+    fits = list(_fits(snapshots, regime, initial_guess))
+    return ParameterTrack(times=np.array([t for t, _ in fits]),
+                          decompositions=[d for _, d in fits])
+
+
+_TRACK_HEADER = "t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
+
+
+def _track_row(t: float, d: Decomposition, r: Field) -> str:
+    """The track-CSV line of the fit d at time t, whose remainder is r."""
+    cells = (t, d.params.a, d.params.c, d.residual, l2_norm(r), sobolev_norm(r, 0.5),
+             local_sup_norm(r))
+    return ",".join(repr(float(v)) for v in cells) + "\r\n"
 
 
 def write_track_csv(path, track: ParameterTrack) -> None:
@@ -198,12 +216,7 @@ def write_track_csv(path, track: ParameterTrack) -> None:
     Cells are float reprs and lines end in \\r\\n, the bytes ``csv.writer``
     gives these rows (no cell needs quoting); the file is written in one call.
     """
-    def row(t, d):
-        r = d.remainder
-        cells = (t, d.params.a, d.params.c, d.residual, l2_norm(r),
-                 sobolev_norm(r, 0.5), local_sup_norm(r))
-        return ",".join(repr(float(v)) for v in cells)
-    rows = "".join(f"{row(t, d)}\r\n" for t, d in zip(track.times, track.decompositions))
+    rows = "".join(_track_row(t, d, d.remainder)
+                   for t, d in zip(track.times, track.decompositions))
     with open(path, "w", newline="") as fh:
-        fh.write("t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
-                 + rows)
+        fh.write(_TRACK_HEADER + rows)

@@ -19,10 +19,10 @@ onto v through the adjoint gives one weight per forcing profile,
 so a window with one static forcing costs the 10 FFTs of W_f once and a
 quadrature per snapshot, rather than 10 FFTs per snapshot.
 
-The sweep keeps per-snapshot series and integrates prefixes of them: per
-center it costs one localized transform per snapshot plus one W_f, and
-every window, whatever its length, is a prefix of those two series and
-of the run's snapshot norms.
+The sweep reads its linearized run once, as the evolution yields each
+snapshot, and keeps no field: per snapshot it appends ||v|| and, per
+center, the localized mass and <v, W_f>, with W_f built once per center.
+Every window, whatever its length, is a prefix of those series.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError, require_positive
-from .evolution import EvolutionState, evolve_linearized
+from .evolution import EvolutionState, _linearized_snapshots
 from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
                    dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
 from .operators import SymmetricOperator
@@ -58,12 +58,11 @@ def _time_trapezoid(values, dt: float) -> float:
     return float(dt * (np.sum(v) - 0.5 * (v[0] + v[-1])))
 
 
-def _localized_masses(snapshots, spec: LocalizerSpec) -> list:
-    """||<D>^{1/2}(sqrt(g') v)||^2 of each snapshot v: one transform each."""
-    grid = snapshots[0].grid
+def _localized_mass(spec: LocalizerSpec, grid):
+    """The map v -> ||<D>^{1/2}(sqrt(g') v)||^2, one transform per snapshot."""
     _, gp = localizer(spec, grid)
     sq = np.sqrt(gp.values)
-    return [sobolev_norm(Field(grid, sq * f.values), 0.5) ** 2 for f in snapshots]
+    return lambda v: sobolev_norm(Field(grid, sq * v.values), 0.5) ** 2
 
 
 def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
@@ -71,31 +70,19 @@ def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
     require_positive("dt", dt)
     if len(snapshots) < 2:
         raise UsageError("need at least two snapshots")
-    return _time_trapezoid(_localized_masses(snapshots, spec), dt)
+    mass = _localized_mass(spec, snapshots[0].grid)
+    return _time_trapezoid([mass(v) for v in snapshots], dt)
 
 
-def _forcing_weight(f: Field, g_y0: Field, g_origin: Field, gamma: float) -> Field:
+def _forcing_weight(f: Field, spec: LocalizerSpec, gamma: float) -> Field:
     """W_f = g_y0 f_y + L R^*(g_0 R L f_y): a snapshot's two pairings with f as one field."""
+    g_y0, _ = localizer(spec, f.grid)
+    g_origin, _ = localizer(LocalizerSpec(spec.gamma, 0.0), f.grid)
     lin = SymmetricOperator.linearized(f.grid)
     fy = derivative(f)
     dual_fy = dgamma_inverse(lin.apply(fy), gamma)
     back = dgamma_inverse_adjoint(g_origin * dual_fy, gamma)
     return g_y0 * fy + lin.apply(back)
-
-
-def _forcing_pairings(v_snapshots, f_snapshots, spec: LocalizerSpec, gamma: float) -> list:
-    """<v, W_f> of each snapshot pair (v, f); W_f is rebuilt only when the
-    forcing is not the same object as the previous snapshot's."""
-    grid = v_snapshots[0].grid
-    g_y0, _ = localizer(spec, grid)
-    g_origin, _ = localizer(LocalizerSpec(spec.gamma, 0.0), grid)
-    terms = []
-    weight = f_prev = None
-    for v, f in zip(v_snapshots, f_snapshots):
-        if f is not f_prev:
-            weight, f_prev = _forcing_weight(f, g_y0, g_origin, gamma), f
-        terms.append(inner(v, weight))
-    return terms
 
 
 def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
@@ -119,7 +106,13 @@ def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
         raise UsageError("v and f snapshot lists must match in length")
     if len(v_snapshots) < 2:
         raise UsageError("need at least two snapshots")
-    return _time_trapezoid(_forcing_pairings(v_snapshots, f_snapshots, spec, gamma), dt)
+    terms = []
+    weight = f_prev = None
+    for v, f in zip(v_snapshots, f_snapshots):
+        if f is not f_prev:
+            weight, f_prev = _forcing_weight(f, spec, gamma), f
+        terms.append(inner(v, weight))
+    return _time_trapezoid(terms, dt)
 
 
 def _check_initial_orthogonality(v0: Field) -> None:
@@ -138,30 +131,37 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
     """VirialReports for every (gamma, y0, window) combination.
 
     The localizer specs are checked first, then the orthogonality of the
-    initial data; the forced linearized evolution from `initial` to
-    `t_end` is computed once.  Per run, the L2 norm of each snapshot is
-    taken once; per center, the localized mass and the forcing pairing
-    of each snapshot are taken once, so the half window and the full
-    window are prefixes of the same series.  The headline claim is that
-    for fixed gamma the ratios are uniform across centers and window
-    lengths.
+    initial data, then the run's inputs; the forced linearized evolution
+    from `initial` to `t_end` is read once, snapshot by snapshot.  Per
+    snapshot, its L2 norm is taken once and, per center, its localized
+    mass and its pairing with that center's W_f, so the half window and
+    the full window are prefixes of the same series and no snapshot is
+    kept.  The headline claim is that for fixed gamma the ratios are
+    uniform across centers and window lengths.
     """
     specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
     if not specs:
         return []
     _check_initial_orthogonality(initial)
-    res = evolve_linearized(EvolutionState(0.0, initial), t_end, dt, forcing=forcing,
-                            snapshot_stride=snapshot_stride)
-    fields = [s.field for s in res.states]
-    dt_snap = float(res.times[1] - res.times[0])
-    norms = [l2_norm(f) for f in fields]
+    snapshots = _linearized_snapshots(EvolutionState(0.0, initial), t_end, dt, forcing,
+                                      snapshot_stride)
     f_field = forcing if forcing is not None else Field.zeros(initial.grid)
+    # per centre: the localized mass map, W_f, and the two series
+    centres = [(_localized_mass(spec, initial.grid), _forcing_weight(f_field, spec, spec.gamma),
+                [], []) for spec in specs]
+    times, norms = [], []
+    for state in snapshots:
+        v = state.field
+        times.append(state.time)
+        norms.append(l2_norm(v))
+        for mass, weight, masses, pairings in centres:
+            masses.append(mass(v))
+            pairings.append(inner(v, weight))
+    dt_snap = times[1] - times[0]
     reports = []
-    for spec in specs:
-        masses = _localized_masses(fields, spec)
-        pairings = _forcing_pairings(fields, [f_field] * len(fields), spec, spec.gamma)
+    for spec, (_, _, masses, pairings) in zip(specs, centres):
         for frac in (0.5, 1.0):
-            n_keep = max(2, int(round(frac * (len(fields) - 1))) + 1)
+            n_keep = max(2, int(round(frac * (len(norms) - 1))) + 1)
             lhs = _time_trapezoid(masses[:n_keep], dt_snap)
             rhs = max(norms[:n_keep]) ** 2
             grem = _time_trapezoid(pairings[:n_keep], dt_snap)

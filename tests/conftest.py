@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,13 @@ def dense_oracle(matvec, n):
     """The n x n matrix of a linear map on length-n sample vectors: its
     images of the identity columns, the reference for matrix-free solvers."""
     return np.stack([matvec(col) for col in np.eye(n)], axis=1)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc traces while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -23,7 +23,8 @@ def step_pbo(state, dt):
     # field, whose argmax is the node at -L/2
     n_steps = _step_count(dt, dt)
     flow = _pbo_flow(state.field.grid, dt, state.potential)
-    return _evolve(state, n_steps, dt, 1, flow).states[-1]
+    *_, last = _evolve(state, n_steps, dt, 1, flow)
+    return last
 
 
 def step_linearized(state, dt, forcing=None):

@@ -1,17 +1,26 @@
 """Config parsing and the theorem-sweep member loop."""
 
 import json
+import math
 import time
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from bolab import (ConfigurationError, Decomposition, ExperimentConfig, Field,
-                   Grid, ParameterTrack, PotentialSpec, SolitonParams,
-                   fit_scaling_exponent, ode_residuals, run_theorem_sweep)
+from bolab import (ConfigurationError, Decomposition, EvolutionState, ExperimentConfig,
+                   Field, Grid, ParameterTrack, PotentialSpec, SolitonParams,
+                   cell_l2_profile, convert_frame, evolve_pbo, fit_scaling_exponent,
+                   integrate_exact, ode_residuals, run_theorem_sweep, sobolev_norm,
+                   soliton_field, track_parameters)
 from bolab import experiments, trajectories
-from bolab.experiments import SweepMember, _horizon, _run_member, parse_config
+from bolab.experiments import (ResidualTable, SweepMember, _horizon, _run_member,
+                               build_perturbation, parse_config)
+from bolab.modulation import write_track_csv
+
+from conftest import traced_peak
 
 
 class TestParseConfig:
@@ -97,17 +106,22 @@ class TestSweepLoop:
     H_LIST = (0.1, 0.08, 0.05, 0.025)
 
     @staticmethod
-    def _fake_member(cfg, h, t_end, out_dir, s_max):
+    def _fake_member(cfg, h, t_end, out_dir):
         if h == 0.05:
             raise ValueError("stub failure")
         if h == TestSweepLoop.H_LIST[0]:
             time.sleep(0.05)            # finishes after the members queued behind it
+        # residuals h^2 and h^3 on s = h t in [0, 1]: integrals h and h^2
+        times = np.array([0.0, 1.0 / h])
+        table = ResidualTable(times=times, residual_a=np.full(2, h ** 2),
+                              residual_c=np.full(2, h ** 3), integral_a=h,
+                              integral_c=h ** 2)
         return SweepMember(h=h, t_end=1.0, sup_envelope_ratio=h ** 1.5,
                            sup_envelope_time=0.0, envelope_ratio_t0=h ** 1.5,
-                           sup_local_time_norm=h, residual_a_integral=h ** 2,
-                           residual_c_integral=h ** 3, residual_c_integral_full=h,
+                           sup_local_time_norm=h, residual_a_integral=h,
+                           residual_c_integral=h ** 2, residual_c_integral_full=h ** 2,
                            scale_range=(1.0, 1.0),
-                           wall_seconds=0.0, csv_track="", csv_trajectory="")
+                           wall_seconds=0.0, csv_track="", csv_trajectory=""), table
 
     def test_threads_give_same_members_and_failures(self, monkeypatch, tmp_path):
         monkeypatch.setattr(experiments, "_run_member", self._fake_member)
@@ -118,6 +132,10 @@ class TestSweepLoop:
         for k, s in zip((1, 2), summaries):
             assert [m.h for m in s.members] == [0.1, 0.08, 0.025]
             assert s.failures == [{"h": 0.05, "error": "ValueError: stub failure"}]
+            # every table reaches s = 1, so the window keeps each one whole
+            assert s.residual_s_max == 1.0
+            assert [m.residual_c_integral for m in s.members] == pytest.approx(
+                [0.1 ** 2, 0.08 ** 2, 0.025 ** 2], rel=1e-12)
             # reference: the summary payload spelled out field by field
             payload = {
                 "schema_version": s.schema_version,
@@ -136,6 +154,19 @@ class TestSweepLoop:
         assert summaries[0].members == summaries[1].members
         assert summaries[0].fitted_remainder_order == pytest.approx(1.5, rel=1e-12)
 
+    def test_a_failed_member_sets_no_window(self, tmp_path):
+        # delta = h^{3/2} puts the h = 0.5 member outside the soliton tube at
+        # snapshot 0; the window is the least reach of the members that ran
+        cfg = ExperimentConfig(n_points=1024, domain_length=128.0,
+                               h_list=(0.5, 0.25, 0.125), out_dir=str(tmp_path))
+        s = run_theorem_sweep(cfg)
+        assert [f["h"] for f in s.failures] == [0.5]
+        assert "outside the soliton tube" in s.failures[0]["error"]
+        assert s.residual_s_max == pytest.approx(0.25 * 1.1)
+        m = s.members[0]
+        assert m.h == 0.25
+        assert m.residual_c_integral == m.residual_c_integral_full > 0.0
+
     def test_each_flow_is_integrated_once(self, tmp_path):
         # one reference flow per horizon and one corrected flow per member:
         # each member's horizon is computed once, before the members run
@@ -153,7 +184,7 @@ class TestRunMember:
         h = 0.2
         cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
         pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
-        m = _run_member(cfg, h, _horizon(cfg, pot, h), tmp_path, None)
+        m, _ = _run_member(cfg, h, _horizon(cfg, pot, h), tmp_path)
         first_fit = np.loadtxt(m.csv_track, delimiter=",", skiprows=1, max_rows=1)
         start = np.loadtxt(m.csv_trajectory, delimiter=",", skiprows=1, max_rows=1,
                            usecols=(0, 1, 2))
@@ -163,6 +194,54 @@ class TestRunMember:
         assert start[0] == 0.0
         assert start[1] == pytest.approx(a0, rel=1e-15, abs=1e-300)
         assert start[2] == c0
+
+
+    def test_one_pass_matches_the_list_path(self, tmp_path):
+        # the list path keeps every snapshot and fit, then walks them again
+        h = 0.2
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
+        t_end = _horizon(cfg, pot, h)
+        m, table = _run_member(cfg, h, t_end, tmp_path)
+
+        grid = Grid(cfg.n_points, cfg.domain_length)
+        u0 = soliton_field(grid, SolitonParams(0.0, 1.0)) + build_perturbation(grid, h ** 1.5)
+        res = evolve_pbo(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
+                         snapshot_stride=cfg.snapshot_stride)
+        track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
+        write_track_csv(tmp_path / "list.csv", track)
+        assert (tmp_path / "list.csv").read_bytes() == Path(m.csv_track).read_bytes()
+
+        ex = convert_frame(integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12), ds=1e-3,
+                                           y0=(h * track.a[0], track.c[0])), h)
+        a_hat = CubicSpline(ex.times, ex.positions)(res.times)
+        c_hat = CubicSpline(ex.times, ex.scales)(res.times)
+        ratios = [sobolev_norm(s.field - soliton_field(grid, SolitonParams(a, c)), 0.5)
+                  / math.exp(cfg.mu0 * h * s.time)
+                  for s, a, c in zip(res.states, a_hat, c_hat)]
+        weights = [0.5] + [1.0] * (len(track) - 2) + [0.5]
+        cell_mass = sum(w * cell_l2_profile(d.remainder)[1] ** 2
+                        for w, d in zip(weights, track.decompositions))
+        dt_snap = float(res.times[1] - res.times[0])
+        assert m.sup_envelope_ratio == max(ratios)
+        assert m.sup_local_time_norm == float(np.sqrt(np.max(cell_mass * dt_snap)))
+        full = ode_residuals(track, pot)
+        assert np.array_equal(table.residual_c, full.residual_c)
+        assert m.residual_c_integral_full == m.residual_c_integral == full.integral_c
+
+    def test_memory_stays_flat_in_the_horizon(self, tmp_path):
+        # a member keeps scalars per snapshot, not fields: at 4 x the horizon
+        # (101 -> 401 snapshots) its traced peak moves by less than a few
+        # fields, where keeping the snapshots adds one field per snapshot
+        h = 0.05
+        cfg = ExperimentConfig(n_points=1024, domain_length=128.0, h_list=(h,),
+                               snapshot_stride=1)
+
+        def peak(t_end):
+            return traced_peak(lambda: _run_member(cfg, h, t_end, tmp_path))
+        peak(1.0)                       # warm the module caches
+        one, four = peak(1.0), peak(4.0)
+        assert four <= one + 4 * 8 * cfg.n_points
 
 
 class TestOdeResiduals:

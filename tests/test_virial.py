@@ -9,11 +9,10 @@ from bolab import (ConfigurationError, EvolutionState, Field, Grid,
                    LocalizerSpec, SymmetricOperator, UsageError, derivative,
                    evolve_linearized, g_remainder, inner, l2_norm,
                    local_smoothing_lhs, localizer, sobolev_norm, virial_sweep)
-from bolab import virial
 from bolab.grid import dgamma_inverse, dgamma_inverse_adjoint
 from bolab.soliton import profile, profile_derivative
 
-from conftest import random_band_limited
+from conftest import random_band_limited, traced_peak
 
 GAMMA = 0.3
 SPEC = LocalizerSpec(0.2, 4.0)
@@ -166,7 +165,7 @@ def test_sweep_matches_per_window_calls(grid):
 
 
 def test_sweep_transforms_each_snapshot_once_per_centre(grid, monkeypatch):
-    # after the evolution, each centre costs one localized transform per
+    # beyond the evolution, each centre costs one localized transform per
     # snapshot and one forcing weight (10 FFTs), whatever the windows
     calls = []
     for name in ("rfft", "irfft"):
@@ -176,15 +175,26 @@ def test_sweep_transforms_each_snapshot_once_per_centre(grid, monkeypatch):
             calls.append(1)
             return _original(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
-    evolutions = []
-
-    def evolve_then_count(*args, **kwargs):
-        res = evolve_linearized(*args, **kwargs)
-        evolutions.append(len(res.states))
-        calls.clear()
-        return res
-    monkeypatch.setattr(virial, "evolve_linearized", evolve_then_count)
+    initial, forcing, t_end, dt, stride = run = _run(grid)
+    res = evolve_linearized(EvolutionState(0.0, initial), t_end, dt,
+                            forcing=forcing, snapshot_stride=stride)
+    evolution_calls = len(calls)
+    calls.clear()
     gammas, y0s = (0.05, 0.2), (-10.0, 0.0)
-    reports = virial_sweep(*_run(grid), gammas, y0s)
-    assert evolutions == [11] and len(reports) == 8
-    assert len(calls) == len(gammas) * len(y0s) * (11 + 10)
+    reports = virial_sweep(*run, gammas, y0s)
+    assert len(res.states) == 11 and len(reports) == 8
+    assert len(calls) - evolution_calls == len(gammas) * len(y0s) * (11 + 10)
+
+
+def test_sweep_memory_stays_flat_in_the_horizon(grid):
+    # the sweep keeps per-snapshot scalars, not fields: at 4 x the horizon
+    # (101 -> 401 snapshots) its traced peak moves by less than a few
+    # fields, where keeping the snapshots adds one field per snapshot
+    initial, forcing, _, dt, _ = _run(grid)
+
+    def peak(t_end):
+        return traced_peak(lambda: virial_sweep(initial, forcing, t_end, dt, 1,
+                                                (0.05,), (-10.0, 0.0)))
+    peak(1.0)                       # warm the module caches
+    one, four = peak(1.0), peak(4.0)
+    assert four <= one + 4 * 8 * grid.n_points
