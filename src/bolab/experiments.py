@@ -28,7 +28,7 @@ from .errors import (ConfigurationError, ExperimentError, UsageError, require_co
                      require_positive)
 from .evolution import EvolutionState, _pbo_snapshots
 from .grid import Field, Grid, cell_l2_profile, sobolev_norm
-from .modulation import _TRACK_HEADER, ParameterTrack, _fits, _track_row
+from .modulation import ParameterTrack, _fits, _track_row, _write_track_rows
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
 from .trajectories import (convert_frame, exact_rhs, integrate_exact,
@@ -126,8 +126,7 @@ def fit_scaling_exponent(points):
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     denom = np.sum((x - x.mean()) ** 2)
-    dof = max(n - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / denom)
+    stderr = math.sqrt(float(resid @ resid) / (n - 2) / denom)
     return float(slope), float(stderr)
 
 
@@ -149,8 +148,7 @@ def _central_derivative_4(values: np.ndarray, dt: float) -> np.ndarray:
     return (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * dt)
 
 
-def ode_residuals(track: ParameterTrack, pot: PotentialSpec,
-                  s_max: float | None = None) -> ResidualTable:
+def ode_residuals(track: ParameterTrack, pot: PotentialSpec) -> ResidualTable:
     """Residuals of the corrected parameter ODEs along a measured track.
 
     Fourth-order central differences supply (da/dt, dc/dt); the residuals
@@ -160,11 +158,9 @@ def ode_residuals(track: ParameterTrack, pot: PotentialSpec,
         a' = F_A(ha, c) = c - W(ha) + (h^2/2) W''(ha)/c^2
         c' = h F_C(ha, c) = h c W'(ha) + (h^3/2) W'''(ha)/c.
 
-    With `s_max`, the table and its integrals keep only the samples at
-    slow time s = h t <= s_max.
+    `_window` keeps the samples up to a slow time s = h t.
     """
-    table = _residuals(track.times, track.a, track.c, pot)
-    return table if s_max is None else _window(table, pot.h, s_max)
+    return _residuals(track.times, track.a, track.c, pot)
 
 
 def _residuals(t, a, c, pot: PotentialSpec) -> ResidualTable:
@@ -261,9 +257,11 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
     Each snapshot is fitted as the evolution yields it, compared with the
     corrected trajectory (seeded from the first fit), and reduced to
     scalars: its envelope ratio, its remainder's cell masses and its
-    track-CSV row, both from one remainder.  The first fault in time
-    order stops the member.  Returns the member, whose residual integrals
-    cover its whole horizon, and its residual table.
+    track-CSV row.  The remainder is built once and profiled once by
+    `cell_l2_profile`: the masses are the squared cell norms and the row's
+    local sup is their maximum.  The first fault in time order stops the
+    member.  Returns the member, whose residual integrals cover its whole
+    horizon, and its residual table.
     """
     start = time.perf_counter()
     grid = Grid(cfg.n_points, cfg.domain_length)
@@ -283,9 +281,10 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
             raise ExperimentError(f"scale parameter left the window [1/2, 2]: "
                                   f"range ({min(c):.3g}, {max(c):.3g})")
         r = d.remainder
-        rows.append(_track_row(t, d, r))
+        norms = cell_l2_profile(r)[1]
+        rows.append(_track_row(t, d, r, float(np.max(norms))))
         # the cell masses' time trapezoid, end weights 1/2, added in time order
-        sq = cell_l2_profile(r)[1] ** 2
+        sq = norms ** 2
         if k == 0:
             cell_mass = 0.5 * sq
             # the corrected parameter trajectory from the first fit
@@ -304,8 +303,7 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
     tag = _member_tag(h)
     csv_track = str(out_dir / f"track_{tag}.csv")
     csv_traj = str(out_dir / f"trajectory_{tag}.csv")
-    with open(csv_track, "w", newline="") as fh:
-        fh.write(_TRACK_HEADER + "".join(rows))
+    _write_track_rows(csv_track, rows)
     write_trajectory_csv(csv_traj, ex)
     k_sup = int(np.argmax(ratios))
     return SweepMember(

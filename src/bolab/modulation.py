@@ -200,14 +200,20 @@ def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> Pa
                           decompositions=[d for _, d in fits])
 
 
-_TRACK_HEADER = "t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
-
-
-def _track_row(t: float, d: Decomposition, r: Field) -> str:
-    """The track-CSV line of the fit d at time t, whose remainder is r."""
+def _track_row(t: float, d: Decomposition, r: Field, local_sup: float) -> str:
+    """The track-CSV line of the fit d at time t, whose remainder r has
+    unit-cell sup norm local_sup (the caller's, so one profile can serve)."""
     cells = (t, d.params.a, d.params.c, d.residual, l2_norm(r), sobolev_norm(r, 0.5),
-             local_sup_norm(r))
+             local_sup)
     return ",".join(repr(float(v)) for v in cells) + "\r\n"
+
+
+def _write_track_rows(path, rows) -> None:
+    """Write a track CSV, its header and then the `_track_row` lines rows,
+    in one call."""
+    with open(path, "w", newline="") as fh:
+        fh.write("t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
+                 + "".join(rows))
 
 
 def write_track_csv(path, track: ParameterTrack) -> None:
@@ -216,7 +222,8 @@ def write_track_csv(path, track: ParameterTrack) -> None:
     Cells are float reprs and lines end in \\r\\n, the bytes ``csv.writer``
     gives these rows (no cell needs quoting); the file is written in one call.
     """
-    rows = "".join(_track_row(t, d, d.remainder)
-                   for t, d in zip(track.times, track.decompositions))
-    with open(path, "w", newline="") as fh:
-        fh.write(_TRACK_HEADER + rows)
+    rows = []
+    for t, d in zip(track.times, track.decompositions):
+        r = d.remainder
+        rows.append(_track_row(t, d, r, local_sup_norm(r)))
+    _write_track_rows(path, rows)

@@ -11,13 +11,13 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from bolab import (ConfigurationError, Decomposition, EvolutionState, ExperimentConfig,
-                   Field, Grid, ParameterTrack, PotentialSpec, SolitonParams,
+                   ExperimentError, Field, Grid, ParameterTrack, PotentialSpec, SolitonParams,
                    cell_l2_profile, convert_frame, evolve_pbo, fit_scaling_exponent,
                    integrate_exact, ode_residuals, run_theorem_sweep, sobolev_norm,
                    soliton_field, track_parameters)
-from bolab import experiments, trajectories
+from bolab import experiments, grid, trajectories
 from bolab.experiments import (ResidualTable, SweepMember, _horizon, _run_member,
-                               build_perturbation, parse_config)
+                               _window, build_perturbation, parse_config)
 from bolab.modulation import write_track_csv
 
 from conftest import traced_peak
@@ -178,6 +178,15 @@ class TestSweepLoop:
         assert s.failures == []
         assert (info.hits, info.misses) == (0, 6)
 
+    def test_a_coarse_grid_fails_every_member(self, tmp_path):
+        # spacing 1/2: the unit-cell spacing rule of cell_l2_profile stops
+        # each member at its first snapshot
+        cfg = ExperimentConfig(n_points=512, domain_length=256.0, out_dir=str(tmp_path))
+        with pytest.raises(ExperimentError, match="all sweep members failed") as info:
+            run_theorem_sweep(cfg)
+        assert (str(info.value).count("too coarse for unit-cell norms")
+                == len(cfg.h_list) == 3)
+
 
 class TestRunMember:
     def test_corrected_ode_starts_from_the_first_fit(self, tmp_path):
@@ -195,6 +204,23 @@ class TestRunMember:
         assert start[1] == pytest.approx(a0, rel=1e-15, abs=1e-300)
         assert start[2] == c0
 
+    def test_each_snapshot_is_profiled_once(self, monkeypatch, tmp_path):
+        # the track row's local sup is the maximum of the cell norms whose
+        # squares go into the cell masses: one profile per snapshot
+        h = 0.2
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
+        calls = []
+
+        def counted(f):
+            calls.append(f)
+            return cell_l2_profile(f)
+        monkeypatch.setattr(experiments, "cell_l2_profile", counted)
+        monkeypatch.setattr(grid, "cell_l2_profile", counted)
+        m, _ = _run_member(cfg, h, _horizon(cfg, pot, h), tmp_path)
+        snapshots = len(Path(m.csv_track).read_text(encoding="utf-8").splitlines()) - 1
+        assert snapshots > 1
+        assert len(calls) == snapshots
 
     def test_one_pass_matches_the_list_path(self, tmp_path):
         # the list path keeps every snapshot and fit, then walks them again
@@ -281,7 +307,7 @@ class TestOdeResiduals:
             Decomposition(SolitonParams(0.9 * tk, 1.0 + 0.01 * tk), rest, 0, 0.0)
             for tk in t])
         full = ode_residuals(track, pot)
-        got = ode_residuals(track, pot, s_max=0.5)
+        got = _window(ode_residuals(track, pot), h, 0.5)
         keep = h * full.times <= 0.5
         assert got.times[-1] == pytest.approx(10.0) and keep.sum() < keep.size
         for name in ("times", "residual_a", "residual_c"):
@@ -332,6 +358,6 @@ class TestResidualWindow:
                 Decomposition(SolitonParams(ak, ck), rest, 0, 0.0)
                 for ak, ck in zip(a, c)])
             pot = PotentialSpec.bump(m.h, cfg.bump_amplitude, cfg.bump_width)
-            last = m.h * ode_residuals(track, pot, s.residual_s_max).times[-1]
+            last = m.h * _window(ode_residuals(track, pot), m.h, s.residual_s_max).times[-1]
             assert s.residual_s_max - m.h * cfg.dt * cfg.snapshot_stride < last
             assert last <= s.residual_s_max

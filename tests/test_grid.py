@@ -261,11 +261,21 @@ class TestLocalSupNorm:
         g = Grid(n, length)
         f = random_band_limited(g, np.random.default_rng(n))
         want_starts, want = self._direct_cell_profile(f)
-        for _ in range(2):          # a miss, then a hit of the per-grid layout
+        for _ in range(2):          # a second call works its cells out anew
             starts, norms = cell_l2_profile(f)
             assert np.array_equal(starts, want_starts)
             assert np.array_equal(norms, want)
         assert not starts.flags.writeable
+
+    @pytest.mark.parametrize("length", [128.0 + 1e-10, 128.0 - 1e-10])
+    def test_a_box_within_rounding_of_aligned_has_the_aligned_cells(self, length):
+        # the first node -L/2 sits 5e-11 off -64; its cells are still [-64, 64)
+        aligned = Grid(1024, 128.0)
+        values = random_band_limited(aligned, np.random.default_rng(3)).values
+        want_starts, want = cell_l2_profile(Field(aligned, values))
+        starts, norms = cell_l2_profile(Field(Grid(1024, length), values))
+        assert np.array_equal(starts, want_starts)
+        assert norms == pytest.approx(want, rel=1e-9)
 
 
 class TestLocalizer:

@@ -147,8 +147,6 @@ CACHES_ALLOWED = {
     "_sobolev_weight": "grid: hits/misses 197/1 in `bolab evolve`, 602/1 in "
                        "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
                        "in the member-h0.05 workload",
-    "_cell_layout": "grid: hits/misses 65/1 in `bolab evolve`, 1153/1 in "
-                    "`bolab theorem-sweep`, 299/1 in the member-h0.05 workload",
     "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
                    "its workload, 0/6 in `bolab theorem-sweep`, 23/17 over "
                    "the test suite",
