@@ -18,9 +18,12 @@ prints no verdict.  ``main`` alone prints one ``PASS``/``FAIL`` line per
 gate, in order, after everything the subcommand printed; a gate passes
 iff ``value <= bound``, and a ``None`` value (nothing to measure, e.g. no
 fitted order) fails and prints as ``inf``.  Exit codes: 0 when every
-gate passes, 1 when any fails, 2 on a ``BolabError`` (reported on
-stderr) or an argparse usage error.  A subcommand that raises prints no
-gate lines.
+gate passes, 1 when any fails, 2 on an argparse usage error and on a
+``BolabError`` or an ``OSError``, which is reported as one ``error:``
+line on stderr.  A config file that is missing or a directory, or an
+output directory that cannot be made, is an ``OSError``; a config file
+that is not UTF-8 is a ``ConfigurationError``.  A subcommand that raises
+prints no gate lines.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ def main(argv=None) -> int:
         given = {"out_dir": args.out, "threads": args.threads}
         cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
         gates = args.fn(args, cfg)
-    except BolabError as exc:
+    except (BolabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = False

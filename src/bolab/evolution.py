@@ -290,13 +290,15 @@ class EvolveResult:
 
 def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
     """Steps of a run to t_end, once t_end and dt are finite and positive,
-    t_end a multiple of dt and the snapshot stride an integer of at least 1."""
+    t_end a multiple of dt by at least one step and the snapshot stride an
+    integer of at least 1."""
     require_positive("dt", dt)
     require_positive("t_end", t_end)
     require_count("snapshot_stride", snapshot_stride)
     n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ConfigurationError("t_end must be an integer multiple of dt")
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ConfigurationError(
+            f"t_end must be a whole number (at least one) of steps dt = {dt}, got {t_end}")
     return n_steps
 
 

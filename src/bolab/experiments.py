@@ -31,8 +31,8 @@ from .grid import Field, Grid, cell_l2_profile, sobolev_norm
 from .modulation import ParameterTrack, _fits, _track_row, _write_track_rows
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
-from .trajectories import (convert_frame, exact_rhs, integrate_exact,
-                           integrate_reference, write_trajectory_csv)
+from .trajectories import (SCALE_STOP_HIGH, SCALE_STOP_LOW, convert_frame, exact_rhs,
+                           integrate_exact, integrate_reference, write_trajectory_csv)
 
 SCHEMA_VERSION = 1
 
@@ -103,7 +103,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc.reason} "
+                                 f"at byte {exc.start}") from None
+    return parse_config(text)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +282,9 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
         times.append(t)
         a.append(d.params.a)
         c.append(d.params.c)
-        if not 0.5 <= d.params.c <= 2.0:
-            raise ExperimentError(f"scale parameter left the window [1/2, 2]: "
-                                  f"range ({min(c):.3g}, {max(c):.3g})")
+        if not SCALE_STOP_LOW <= d.params.c <= SCALE_STOP_HIGH:
+            raise ExperimentError(f"scale parameter left the window [{SCALE_STOP_LOW:g}, "
+                                  f"{SCALE_STOP_HIGH:g}]: range ({min(c):.3g}, {max(c):.3g})")
         r = d.remainder
         norms = cell_l2_profile(r)[1]
         rows.append(_track_row(t, d, r, float(np.max(norms))))

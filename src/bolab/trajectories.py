@@ -11,7 +11,10 @@ and the corrected ("exact") flow adds the curvature terms
     C' = C W'(A) + (h^2/2) W'''(A)/C.
 
 Integration of the reference flow stops at the first slow time where C
-reaches 1/2 or 2 (located by bisection); "never" is encoded as an
+reaches 1/2 or 2, the scale window [SCALE_STOP_LOW, SCALE_STOP_HIGH]
+that the sweep's fits are held to as well.  Within the step that
+crosses, ``scipy.optimize.brentq`` finds the partial step length whose
+C lands on the bound, to 1e-10 in slow time; "never" is encoded as an
 explicit None, not a large float.
 
 Each integration runs once per process: `_integrated`, one bounded
@@ -40,6 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .errors import ConfigurationError, UsageError, require_positive
 from .potential import PotentialSpec
@@ -123,21 +127,12 @@ def _integrate(rhs, s_end: float, ds: float, detect_stop: bool, y0):
         y_next = _rk4_step(rhs, y, step_len)
         bound = _scale_event(y[1], y_next[1]) if detect_stop else None
         if bound is not None:
-            lo, hi = 0.0, step_len
-            for _ in range(80):           # bisection to 1e-10 on the event time
-                mid = 0.5 * (lo + hi)
-                y_mid = _rk4_step(rhs, y, mid)
-                if (y[1] - bound) * (y_mid[1] - bound) < 0:
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-10:
-                    break
-            s_event = k * ds + 0.5 * (lo + hi)
-            y = _rk4_step(rhs, y, 0.5 * (lo + hi))
-            times.append(s_event)
-            ys.append(y)
-            stop = s_event
+            # the partial step whose C lands on the bound, to 1e-10 in slow time
+            part = brentq(lambda d: _rk4_step(rhs, y, d)[1] - bound, 0.0, step_len,
+                          xtol=1e-10)
+            stop = k * ds + part
+            times.append(stop)
+            ys.append(_rk4_step(rhs, y, part))
             break
         y = y_next
         times.append(min((k + 1) * ds, s_end))

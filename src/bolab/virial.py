@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError, require_positive
-from .evolution import EvolutionState, _linearized_snapshots
+from .errors import ConfigurationError, UsageError, require_positive
+from .evolution import EvolutionState, _linearized_snapshots, _step_count
 from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
                    dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
 from .operators import SymmetricOperator
@@ -131,33 +131,38 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
     """VirialReports for every (gamma, y0, window) combination.
 
     The localizer specs are checked first, then the orthogonality of the
-    initial data, then the run's inputs; the forced linearized evolution
-    from `initial` to `t_end` is read once, snapshot by snapshot.  Per
-    snapshot, its L2 norm is taken once and, per center, its localized
-    mass and its pairing with that center's W_f, so the half window and
-    the full window are prefixes of the same series and no snapshot is
-    kept.  The headline claim is that for fixed gamma the ratios are
-    uniform across centers and window lengths.
+    initial data, then the run's inputs, with t_end a whole number of
+    snapshot intervals dt * snapshot_stride, so every window spans whole
+    intervals.  The forced linearized evolution from `initial` to `t_end`
+    is read once, snapshot by snapshot.  Per snapshot, its L2 norm is
+    taken once and, per center, its localized mass and its pairing with
+    that center's W_f, so the half window and the full window are
+    prefixes of the same series and no snapshot is kept.  The headline
+    claim is that for fixed gamma the ratios are uniform across centers
+    and window lengths.
     """
     specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
     if not specs:
         return []
     _check_initial_orthogonality(initial)
+    dt_snap = dt * snapshot_stride
+    if _step_count(t_end, dt, snapshot_stride) % snapshot_stride:
+        # the run's last state would close a window shorter than dt_snap
+        raise ConfigurationError(
+            f"t_end must be a multiple of the snapshot interval {dt_snap:g}, got {t_end}")
     snapshots = _linearized_snapshots(EvolutionState(0.0, initial), t_end, dt, forcing,
                                       snapshot_stride)
     f_field = forcing if forcing is not None else Field.zeros(initial.grid)
     # per centre: the localized mass map, W_f, and the two series
     centres = [(_localized_mass(spec, initial.grid), _forcing_weight(f_field, spec, spec.gamma),
                 [], []) for spec in specs]
-    times, norms = [], []
+    norms = []
     for state in snapshots:
         v = state.field
-        times.append(state.time)
         norms.append(l2_norm(v))
         for mass, weight, masses, pairings in centres:
             masses.append(mass(v))
             pairings.append(inner(v, weight))
-    dt_snap = times[1] - times[0]
     reports = []
     for spec, (_, _, masses, pairings) in zip(specs, centres):
         for frac in (0.5, 1.0):

@@ -219,3 +219,71 @@ def test_spectrum_margin_must_be_finite_and_positive(tmp_path, capsys, margin):
     assert code == 2
     assert "error: margin must be finite and positive" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "virial"])
+def test_a_run_shorter_than_one_step_exits_2(tmp_path, capsys, command):
+    # 1e-12 rounds to zero steps of dt = 0.01: nothing would be measured
+    code = main(["--config", _small_config(tmp_path), "--out", str(tmp_path),
+                 command, "--t-end", "1e-12"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: t_end must be a whole number (at least one) of steps "
+                            "dt = 0.01, got 1e-12\n")
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes("out_dir = caf\xe9\n".encode("latin-1")),
+     "is not UTF-8 text: invalid continuation byte at byte 13"),
+], ids=["missing", "directory", "latin-1"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make, message):
+    path = tmp_path / "run.cfg"
+    make(path)
+    code = main(["--config", str(path), "--out", str(tmp_path / "out"), "trajectories"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["trajectories", "theorem-sweep"])
+def test_out_below_a_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "file" / "x"
+    out.parent.write_text("", encoding="utf-8")
+    assert main(["--out", str(out), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Not a directory" in captured.err and str(out) in captured.err
+
+
+def test_reduced_theorem_sweep_prints_its_gates(tmp_path, capsys):
+    cfg = tmp_path / "reduced.cfg"
+    cfg.write_text("n_points = 4096\ndomain_length = 512\ndt = 0.02\nsnapshot_stride = 5\n",
+                   encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "theorem-sweep"])
+    out = capsys.readouterr().out
+    gate_lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [line.split(":")[0].split("  ", 1)[1] for line in gate_lines] == [
+        "member failures", "remainder order |p - 1.5|", "residual-c order shortfall 2.7 - p"]
+    assert code == (1 if any(line.startswith("FAIL") for line in gate_lines) else 0)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert [m["h"] for m in summary["members"]] == [0.1, 0.05, 0.025]
+    assert summary["failures"] == []
+    printed = json.loads(out[out.index("{"):out.rindex("}") + 1])
+    assert printed == {key: summary[key] for key in printed}
+
+
+def test_free_flow_gates_mass_and_energy(tmp_path, capsys):
+    # h = 0 is the free flow: the mass is conserved and gated with the energy
+    assert main(["--out", str(tmp_path), "evolve", "--h", "0", "--t-end", "1"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith(("PASS", "FAIL", "INFO"))] == [
+        "PASS  relative mass drift", "PASS  relative energy drift"]

@@ -86,11 +86,13 @@ class TestStepPbo:
         assert errs[0] / errs[1] == pytest.approx(16.0, rel=0.35)
 
     def test_blowup_guard(self, grid_small):
-        # an unresolved huge state trips the H^1/2 guard
-        vals = 50.0 * np.sin(grid_small.nodes)
-        state = EvolutionState(0.0, Field(grid_small, vals), None)
-        with pytest.raises(EvolutionError):
-            evolve_pbo(state, 2.0, 0.002, snapshot_stride=10)
+        # a large, localized wave train grows its H^1/2 norm tenfold in one
+        # step; its peak stays near the origin, away from the seam
+        y = grid_small.nodes
+        state = EvolutionState(0.0, Field(grid_small,
+                                          50.0 * np.sin(y) * np.exp(-(y / 20.0) ** 2)))
+        with pytest.raises(EvolutionError, match="blow-up guard tripped at t = 0.05"):
+            evolve_pbo(state, 1.0, 0.05)
 
     def test_seam_guard(self, grid_small):
         # a soliton within L/4 of the seam stops the run at its first snapshot
@@ -544,6 +546,14 @@ class TestDriver:
         state = EvolutionState(0.0, Field.zeros(grid_small))
         for evolve in (evolve_pbo, evolve_linearized):
             with pytest.raises(ConfigurationError, match="t_end must be finite and positive"):
+                evolve(state, t_end, 0.01)
+
+    @pytest.mark.parametrize("t_end", [1e-12, 0.004])
+    def test_evolve_takes_at_least_one_step(self, grid_small, t_end):
+        # 1e-12 is within the multiple-of-dt tolerance of zero steps
+        state = EvolutionState(0.0, Field.zeros(grid_small))
+        for evolve in (evolve_pbo, evolve_linearized):
+            with pytest.raises(ConfigurationError, match=r"whole number \(at least one\)"):
                 evolve(state, t_end, 0.01)
 
     @pytest.mark.parametrize("stride", [0, -5])

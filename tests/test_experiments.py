@@ -255,6 +255,15 @@ class TestRunMember:
         assert np.array_equal(table.residual_c, full.residual_c)
         assert m.residual_c_integral_full == m.residual_c_integral == full.integral_c
 
+    def test_fits_are_held_to_the_trajectory_window(self, monkeypatch, tmp_path):
+        # the member reads the scale window of the reference flow's stop
+        # rule: a lower edge above every fit stops it at the first snapshot
+        h = 0.2
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        monkeypatch.setattr(experiments, "SCALE_STOP_LOW", 1.5)
+        with pytest.raises(ExperimentError, match=r"left the window \[1.5, 2\]: range"):
+            _run_member(cfg, h, 1.0, tmp_path)
+
     def test_memory_stays_flat_in_the_horizon(self, tmp_path):
         # a member keeps scalars per snapshot, not fields: at 4 x the horizon
         # (101 -> 401 snapshots) its traced peak moves by less than a few

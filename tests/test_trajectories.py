@@ -190,6 +190,23 @@ class TestIntegrators:
         assert tr.times[-1] == tr.stop_time
         assert abs(tr.scales[-1] - 0.5) <= 1e-9
 
+    @pytest.mark.parametrize("amplitude, bisection_stop", [(1.2, 1.5252365775406362),
+                                                           (2.0, 2.4693173962533472)])
+    def test_scale_event_root(self, amplitude, bisection_stop):
+        # the root of C(partial step) = 1/2 lies within 1e-10 of the stop
+        # time an 80-step bisection gave; the steps before it are the plain
+        # stepper's, bit for bit
+        pot = PotentialSpec.bump(0.1, amplitude=amplitude)
+        tr = integrate_reference(pot, 4.0)
+        assert abs(tr.stop_time - bisection_stop) <= 1e-10
+        assert abs(tr.scales[-1] - 0.5) <= 1e-10
+        times, pos, sc, stop = trajectories._integrate(
+            trajectories._reference_rhs(pot), 4.0, 1e-3, False, (0.0, 1.0))
+        assert stop is None and times[-1] == 4.0
+        n = tr.times.size - 1                   # the samples before the event
+        assert _same_bits([v[:n] for v in _arrays(tr)], (times[:n], pos[:n], sc[:n]))
+        assert times[n - 1] < tr.stop_time < times[n]
+
     def test_zero_potential_is_free_translation(self):
         tr = integrate_exact(PotentialSpec.bump(0.1, amplitude=0.0), 1.0)
         np.testing.assert_allclose(tr.positions, tr.times, rtol=0.0, atol=1e-12)

@@ -164,6 +164,16 @@ def test_sweep_matches_per_window_calls(grid):
                 assert r.ratio == r.lhs / (r.rhs_norm + abs(r.g_remainder))
 
 
+def test_sweep_windows_span_whole_snapshot_intervals(grid):
+    # 52 steps at stride 5 would end on a state 2 steps after the last
+    # snapshot; the full window of a whole run ends at t_end
+    initial, forcing, t_end, dt, stride = _run(grid)
+    with pytest.raises(ConfigurationError, match="multiple of the snapshot interval 0.05"):
+        virial_sweep(initial, forcing, 0.52, dt, stride, (0.05,), (0.0,))
+    half, full = virial_sweep(initial, forcing, t_end, dt, stride, (0.05,), (0.0,))
+    assert (half.T, full.T) == pytest.approx((0.25, t_end), rel=1e-12)
+
+
 def test_sweep_transforms_each_snapshot_once_per_centre(grid, monkeypatch):
     # beyond the evolution, each centre costs one localized transform per
     # snapshot and one forcing weight (10 FFTs), whatever the windows
