@@ -37,9 +37,9 @@ from .evolution import (EvolutionState, InvariantReport, evolve_linearized,
 from .modulation import (Decomposition, ParameterTrack, decompose,
                          track_parameters)
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,
-                           gronwall_compare, gronwall_sweep,
+                           fit_scaling_exponent, gronwall_compare, gronwall_sweep,
                            integrate_exact, integrate_reference)
 from .virial import (VirialReport, g_remainder, local_smoothing_lhs,
                      virial_sweep)
-from .experiments import (ExperimentConfig, RunSummary, fit_scaling_exponent,
-                          ode_residuals, run_theorem_sweep)
+from .experiments import (ExperimentConfig, RunSummary, ode_residuals,
+                          run_theorem_sweep)

@@ -150,14 +150,15 @@ def cmd_evolve(args, cfg) -> list:
 
 def cmd_trajectories(args, cfg) -> list:
     out = _out_dir(cfg)
+    # the sweep first: a bad --h-sweep exits 2 before any CSV is written
+    sweep = gronwall_sweep(
+        lambda h: PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width),
+        args.h_sweep, args.s_end)
     pot = PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width)
     write_trajectory_csv(out / "reference_slow.csv", integrate_reference(pot, args.s_end))
     ex = integrate_exact(pot, args.s_end)
     write_trajectory_csv(out / "exact_slow.csv", ex)
     write_trajectory_csv(out / "exact_fast.csv", convert_frame(ex, args.h))
-    sweep = gronwall_sweep(
-        lambda h: PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width),
-        args.h_sweep, args.s_end)
     print(f"wrote trajectory CSVs to {out}")
     print(f"sup|A_dev| = {sweep.sup_dev_position:.3e}, "
           f"sup|C_dev| = {sweep.sup_dev_scale:.3e}, "

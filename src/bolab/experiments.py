@@ -1,12 +1,14 @@
 """Experiment orchestration: the main-theorem sweep, parameter-ODE
-residual tables, scaling-exponent fits, and reproducible reporting.
+residual tables, and reproducible reporting.
 
 A sweep member evolves the potential-perturbed flow from a soliton plus
 a Gaussian perturbation of H^{1/2} size delta_scale h^{3/2}, extracts
 the symplectic parameter track, compares it against the corrected
 parameter ODE, and reports envelope-normalized remainder norms.  Orders
-in h are least-squares slopes in log-log coordinates with their
-standard errors; raw CSVs accompany every summary record.
+in h come from `trajectories.fit_scaling_exponent`, the fit the Gronwall
+sweep uses too: least-squares slopes in log-log coordinates with their
+standard errors, or None where no order is defined.  Residual integrals
+are ``np.trapezoid`` in time.  Raw CSVs accompany every summary record.
 
 Config files are flat ``key = value`` text (UTF-8, ``#`` comments,
 comma-separated lists).
@@ -32,7 +34,8 @@ from .modulation import ParameterTrack, _fits, _track_row, _write_track_rows
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
 from .trajectories import (SCALE_STOP_HIGH, SCALE_STOP_LOW, convert_frame, exact_rhs,
-                           integrate_exact, integrate_reference, write_trajectory_csv)
+                           fit_scaling_exponent, integrate_exact, integrate_reference,
+                           write_trajectory_csv)
 
 SCHEMA_VERSION = 1
 
@@ -112,30 +115,6 @@ def load_config(path) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# scaling fits
-# ---------------------------------------------------------------------------
-
-def fit_scaling_exponent(points):
-    """Least-squares slope of log(value) against log(h).
-
-    Returns (order, stderr).  Needs >= 3 points with positive values.
-    """
-    pts = [(float(h), float(v)) for h, v in points]
-    if len(pts) < 3:
-        raise UsageError(f"need at least 3 points for a scaling fit, got {len(pts)}")
-    if any(v <= 0 for _, v in pts) or any(h <= 0 for h, _ in pts):
-        raise UsageError("scaling fit requires positive h and values")
-    x = np.log([h for h, _ in pts])
-    y = np.log([v for _, v in pts])
-    n = len(pts)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    denom = np.sum((x - x.mean()) ** 2)
-    stderr = math.sqrt(float(resid @ resid) / (n - 2) / denom)
-    return float(slope), float(stderr)
-
-
-# ---------------------------------------------------------------------------
 # parameter-ODE residuals
 # ---------------------------------------------------------------------------
 
@@ -185,7 +164,7 @@ def _residuals(t, a, c, pot: PotentialSpec) -> ResidualTable:
 
 def _table(times, res_a, res_c) -> ResidualTable:
     def integral(res):
-        return float(np.trapezoid(np.abs(res), times)) if times.size > 1 else 0.0
+        return float(np.trapezoid(np.abs(res), times))
     return ResidualTable(times=times, residual_a=res_a, residual_c=res_c,
                          integral_a=integral(res_a), integral_c=integral(res_c))
 
@@ -357,15 +336,8 @@ def run_theorem_sweep(cfg: ExperimentConfig) -> RunSummary:
         window = _window(table, m.h, s_max)
         m.residual_a_integral, m.residual_c_integral = window.integral_a, window.integral_c
     members = [m for m, _ in runs]
-
-    def safe_fit(values):
-        try:
-            return fit_scaling_exponent([(m.h, v) for m, v in zip(members, values)])
-        except UsageError:
-            return None, None
-
-    rem_order, rem_err = safe_fit([m.sup_envelope_ratio for m in members])
-    res_order, res_err = safe_fit([m.residual_c_integral for m in members])
+    rem_order, rem_err = fit_scaling_exponent((m.h, m.sup_envelope_ratio) for m in members)
+    res_order, res_err = fit_scaling_exponent((m.h, m.residual_c_integral) for m in members)
     summary = RunSummary(
         schema_version=SCHEMA_VERSION,
         config={**asdict(cfg), "h_list": list(cfg.h_list)},

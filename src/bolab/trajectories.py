@@ -17,6 +17,13 @@ crosses, ``scipy.optimize.brentq`` finds the partial step length whose
 C lands on the bound, to 1e-10 in slow time; "never" is encoded as an
 explicit None, not a large float.
 
+`fit_scaling_exponent` is the one order fit in h, for this module's
+Gronwall sweep and for the theorem sweep: the least-squares slope of
+log(value) against log(h) with its standard error, or (None, None)
+when no order is defined, with fewer than 3 points or an h or a value
+that is not positive (two identical flows deviate by 0).  So
+`gronwall_sweep` needs at least three distinct h.
+
 Each integration runs once per process: `_integrated`, one bounded
 ``functools.lru_cache``, owns the results and keys them on
 (kind, spec, s_end, ds, y0).  A `PotentialSpec` compares by value, so
@@ -184,6 +191,24 @@ def convert_frame(tr: TrajectoryState, h: float) -> TrajectoryState:
                            tr.scales.copy(), stop_time=stop)
 
 
+def fit_scaling_exponent(points):
+    """Least-squares slope of log(value) against log(h), with its standard error.
+
+    Returns (order, stderr), or (None, None) when no order is defined:
+    fewer than 3 points, or an h or a value that is not positive.
+    """
+    pts = [(float(h), float(v)) for h, v in points]
+    if len(pts) < 3 or not all(h > 0 and v > 0 for h, v in pts):
+        return None, None
+    x = np.log([h for h, _ in pts])
+    y = np.log([v for _, v in pts])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    denom = np.sum((x - x.mean()) ** 2)
+    stderr = math.sqrt(float(resid @ resid) / (len(pts) - 2) / denom)
+    return float(slope), float(stderr)
+
+
 @dataclass
 class GronwallReport:
     sup_dev_position: float             # max over h of sup|A_ref - A_exact|
@@ -218,27 +243,23 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
     """Compare reference vs corrected flow across h and fit the deviation order.
 
     pot_factory(h) must return the potential at slow scale h.  The fitted
-    order is the log-log slope of sup|C_exact - C_reference| against h, so
-    the h values must be distinct.  The reference flow does not involve h:
+    order is `fit_scaling_exponent`'s slope of sup|C_exact - C_reference|
+    against h, so the sweep needs at least three distinct h values; it is
+    None when a deviation is 0.  The reference flow does not involve h:
     the integration cache (see the module docstring) runs it once per
     distinct shape W and every h with that shape shares its read-only
     arrays.
     """
-    if len(h_values) < 2:
-        raise UsageError("sweep needs at least two h values")
     if len(set(h_values)) < len(h_values):
         raise UsageError(f"sweep h values must be distinct, got {list(h_values)}")
+    if len(h_values) < 3:
+        raise UsageError(f"sweep needs at least three h values, got {list(h_values)}")
     per_h = []
     for h in h_values:
         pot = pot_factory(h)
         per_h.append((float(h), *gronwall_compare(integrate_reference(pot, s_end, ds),
                                                   integrate_exact(pot, s_end, ds))))
-    hs = np.array([p[0] for p in per_h])
-    dev_c = np.array([p[2] for p in per_h])
-    if np.any(dev_c <= 0):
-        order = None                      # identical trajectories: no order defined
-    else:
-        order = float(np.polyfit(np.log(hs), np.log(dev_c), 1)[0])
+    order, _ = fit_scaling_exponent((h, dev_c) for h, _, dev_c in per_h)
     return GronwallReport(sup_dev_position=max(p[1] for p in per_h),
                           sup_dev_scale=max(p[2] for p in per_h),
                           fitted_order=order, per_h=per_h)

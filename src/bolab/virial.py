@@ -22,7 +22,9 @@ quadrature per snapshot, rather than 10 FFTs per snapshot.
 The sweep reads its linearized run once, as the evolution yields each
 snapshot, and keeps no field: per snapshot it appends ||v|| and, per
 center, the localized mass and <v, W_f>, with W_f built once per center.
-Every window, whatever its length, is a prefix of those series.
+Every window, whatever its length, is a prefix of those series.  Every
+time integral is ``np.trapezoid`` of a series on the uniform snapshot
+spacing.
 """
 
 from __future__ import annotations
@@ -51,13 +53,6 @@ class VirialReport:
     ratio: float
 
 
-def _time_trapezoid(values, dt: float) -> float:
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        raise UsageError("need at least two snapshots for a time integral")
-    return float(dt * (np.sum(v) - 0.5 * (v[0] + v[-1])))
-
-
 def _localized_mass(spec: LocalizerSpec, grid):
     """The map v -> ||<D>^{1/2}(sqrt(g') v)||^2, one transform per snapshot."""
     _, gp = localizer(spec, grid)
@@ -66,12 +61,12 @@ def _localized_mass(spec: LocalizerSpec, grid):
 
 
 def local_smoothing_lhs(snapshots, dt: float, spec: LocalizerSpec) -> float:
-    """Time-trapezoid of the localized half-derivative mass of the snapshots."""
+    """``np.trapezoid`` in time of the localized half-derivative mass of the snapshots."""
     require_positive("dt", dt)
     if len(snapshots) < 2:
         raise UsageError("need at least two snapshots")
     mass = _localized_mass(spec, snapshots[0].grid)
-    return _time_trapezoid([mass(v) for v in snapshots], dt)
+    return float(np.trapezoid([mass(v) for v in snapshots], dx=dt))
 
 
 def _forcing_weight(f: Field, spec: LocalizerSpec, gamma: float) -> Field:
@@ -112,7 +107,7 @@ def g_remainder(v_snapshots, f_snapshots, dt: float, spec: LocalizerSpec,
         if f is not f_prev:
             weight, f_prev = _forcing_weight(f, spec, gamma), f
         terms.append(inner(v, weight))
-    return _time_trapezoid(terms, dt)
+    return float(np.trapezoid(terms, dx=dt))
 
 
 def _check_initial_orthogonality(v0: Field) -> None:
@@ -131,13 +126,14 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
     """VirialReports for every (gamma, y0, window) combination.
 
     The localizer specs are checked first, then the orthogonality of the
-    initial data, then the run's inputs, with t_end a whole number of
-    snapshot intervals dt * snapshot_stride, so every window spans whole
-    intervals.  The forced linearized evolution from `initial` to `t_end`
-    is read once, snapshot by snapshot.  Per snapshot, its L2 norm is
-    taken once and, per center, its localized mass and its pairing with
-    that center's W_f, so the half window and the full window are
-    prefixes of the same series and no snapshot is kept.  The headline
+    initial data, then the run's inputs, with t_end an even number, at
+    least 4, of snapshot intervals dt * snapshot_stride, so the half window
+    is T/2 and both windows span whole intervals.  The forced linearized
+    evolution from `initial` to `t_end` is read once, snapshot by
+    snapshot.  Per snapshot, its L2 norm is taken once and, per center,
+    its localized mass and its pairing with that center's W_f, so the
+    half window and the full window are prefixes of the same series and
+    no snapshot is kept.  The headline
     claim is that for fixed gamma the ratios are uniform across centers
     and window lengths.
     """
@@ -146,10 +142,16 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
         return []
     _check_initial_orthogonality(initial)
     dt_snap = dt * snapshot_stride
-    if _step_count(t_end, dt, snapshot_stride) % snapshot_stride:
+    intervals, rest = divmod(_step_count(t_end, dt, snapshot_stride), snapshot_stride)
+    if rest:
         # the run's last state would close a window shorter than dt_snap
         raise ConfigurationError(
             f"t_end must be a multiple of the snapshot interval {dt_snap:g}, got {t_end}")
+    if intervals < 4 or intervals % 2:
+        # the half window is T/2, at least two intervals long
+        raise ConfigurationError(
+            f"t_end must be an even number, at least 4, of snapshot intervals "
+            f"{dt_snap:g}, got {intervals} in {t_end}")
     snapshots = _linearized_snapshots(EvolutionState(0.0, initial), t_end, dt, forcing,
                                       snapshot_stride)
     f_field = forcing if forcing is not None else Field.zeros(initial.grid)
@@ -165,11 +167,10 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
             pairings.append(inner(v, weight))
     reports = []
     for spec, (_, _, masses, pairings) in zip(specs, centres):
-        for frac in (0.5, 1.0):
-            n_keep = max(2, int(round(frac * (len(norms) - 1))) + 1)
-            lhs = _time_trapezoid(masses[:n_keep], dt_snap)
+        for n_keep in (intervals // 2 + 1, intervals + 1):
+            lhs = float(np.trapezoid(masses[:n_keep], dx=dt_snap))
             rhs = max(norms[:n_keep]) ** 2
-            grem = _time_trapezoid(pairings[:n_keep], dt_snap)
+            grem = float(np.trapezoid(pairings[:n_keep], dx=dt_snap))
             denom = rhs + abs(grem)
             reports.append(VirialReport(
                 gamma=float(spec.gamma), y0=float(spec.y_center),

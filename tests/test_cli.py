@@ -203,6 +203,36 @@ def test_theorem_sweep_checks_n_points_before_any_horizon(tmp_path, capsys, monk
     assert err == "error: n_points must be a power of two >= 8, got 1000\n"
 
 
+def test_trajectories_needs_three_h_values(tmp_path, capsys):
+    # two h values fit a slope with no error estimate; no CSV is written
+    code = main(["--out", str(tmp_path), "trajectories", "--h-sweep", "0.2,0.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: sweep needs at least three h values, got [0.2, 0.1]\n"
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_end, intervals", [("0.1", 1), ("0.2", 2), ("0.3", 3)])
+def test_virial_half_window_needs_an_even_count_of_intervals(tmp_path, capsys, t_end,
+                                                             intervals):
+    # snapshot interval dt * stride = 0.1: the half window must be T/2 and
+    # at least two intervals long, so 0.1 and 0.3 have no half window
+    code = main(["--config", _small_config(tmp_path), "--out", str(tmp_path),
+                 "virial", "--t-end", t_end, "--y0s", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: t_end must be an even number, at least 4, of snapshot "
+                            f"intervals 0.1, got {intervals} in {t_end}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
+def test_virial_windows_are_half_and_whole_run(tmp_path):
+    main(["--config", _small_config(tmp_path), "--out", str(tmp_path),
+          "virial", "--t-end", "0.4", "--y0s", "0"])
+    reports = json.loads((tmp_path / "virial.json").read_text(encoding="utf-8"))
+    assert [r["T"] for r in reports] == [0.2, 0.4]
+
+
 def test_virial_rejects_a_non_finite_centre(tmp_path, capsys):
     # the localizer specs are checked before the evolution
     code = main(["--config", _small_config(tmp_path), "--out", str(tmp_path),

@@ -10,9 +10,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from bolab import (ExperimentConfig, PotentialSpec, gronwall_compare,
-                   gronwall_sweep, integrate_exact, integrate_reference,
-                   trajectories)
+from bolab import (ExperimentConfig, PotentialSpec, fit_scaling_exponent,
+                   gronwall_compare, gronwall_sweep, integrate_exact,
+                   integrate_reference, trajectories)
 from bolab.errors import ConfigurationError, UsageError
 from bolab.experiments import _horizon
 
@@ -254,6 +254,20 @@ class TestIntegrators:
             gronwall_sweep(lambda h: PotentialSpec.bump(h), hs, 0.5)
         assert _cache_info().misses == 0
 
+    def test_sweep_needs_three_h_values(self):
+        # two h give a slope with no error estimate
+        trajectories._integrated.cache_clear()
+        with pytest.raises(UsageError, match="at least three h values, got"):
+            gronwall_sweep(lambda h: PotentialSpec.bump(h), (0.2, 0.1), 0.5)
+        assert _cache_info().misses == 0
+
+    def test_identical_flows_have_no_order(self):
+        # with W = 0 both flows are A = s, C = 1: every deviation is 0
+        rep = gronwall_sweep(lambda h: PotentialSpec.bump(h, amplitude=0.0),
+                             (0.2, 0.1, 0.05), 0.5)
+        assert [p[1:] for p in rep.per_h] == [(0.0, 0.0)] * 3
+        assert rep.fitted_order is None
+
     def test_csv_cells_are_float_reprs(self, tmp_path):
         tr = integrate_exact(PotentialSpec.bump(0.1), 0.05)
         trajectories.write_trajectory_csv(tmp_path / "t.csv", tr)
@@ -272,6 +286,24 @@ class TestIntegrators:
             trajectories.write_trajectory_csv(got, tr)
             _csv_writer_csv(want, tr)
             assert got.read_bytes() == want.read_bytes()
+
+
+class TestScalingFit:
+    @pytest.mark.parametrize("points", [
+        [(0.2, 1.0), (0.1, 0.5)],                           # two points
+        [(0.2, 1.0), (0.1, 0.0), (0.05, 0.1)],              # a zero value
+        [(0.2, 1.0), (0.1, math.nan), (0.05, 0.1)],         # a value that is not a number
+        [(0.2, 1.0), (-0.1, 0.5), (0.05, 0.1)],             # a negative h
+    ])
+    def test_no_order(self, points):
+        assert fit_scaling_exponent(points) == (None, None)
+
+    @pytest.mark.parametrize("hs", [(0.2, 0.1, 0.05), (0.2, 0.1, 0.05, 0.025)])
+    def test_order_is_the_polyfit_slope(self, hs):
+        values = [3.0 * h ** 2 * (1.0 + h) for h in hs]
+        order, stderr = fit_scaling_exponent(zip(hs, values))
+        assert order == float(np.polyfit(np.log(hs), np.log(values), 1)[0])
+        assert 0.0 < stderr < 0.1
 
 
 # ---------------------------------------------------------------------------
