@@ -23,8 +23,7 @@ from .errors import (BolabError, ConfigurationError, DecompositionError,
                      UsageError)
 from .grid import (Field, Grid, LocalizerSpec, cell_l2_profile, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
-                   integral, l2_norm, local_sup_norm, localizer,
-                   sobolev_norm, translate)
+                   integral, l2_norm, localizer, sobolev_norm, translate)
 from .soliton import (ClosedFormTable, SolitonParams, closed_form_table,
                       eigenfunction_field, soliton_field, soliton_residual)
 from .potential import PotentialSpec

@@ -24,6 +24,12 @@ line on stderr.  A config file that is missing or a directory, or an
 output directory that cannot be made, is an ``OSError``; a config file
 that is not UTF-8 is a ``ConfigurationError``.  A subcommand that raises
 prints no gate lines.
+
+``evolve`` reads its run once, as the theorem-sweep members do: each
+snapshot is fitted and reduced to its track-CSV line as the evolution
+yields it, and only the initial state and the last snapshot are kept.
+It writes nothing until the run's last snapshot is fitted, so a run that
+fails leaves no ``final.bosl`` or ``track.csv``.
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ import numpy as np
 
 from . import __version__
 from .errors import BolabError
-from .evolution import (EvolutionState, _step_count, evolve_pbo, invariants,
+from .evolution import (EvolutionState, _pbo_snapshots, _step_count, invariants,
                         write_checkpoint)
 from .experiments import ExperimentConfig, load_config, run_theorem_sweep
 from .grid import Field, Grid, hilbert, inner, l2_norm
-from .modulation import write_track_csv, track_parameters
+from .modulation import _fits, _track_record, _write_track_rows
 from .operators import SymmetricOperator
 from .potential import PotentialSpec
 from .soliton import (SolitonParams, closed_form_table,
@@ -128,17 +134,20 @@ def cmd_evolve(args, cfg) -> list:
            else PotentialSpec.bump(args.h, cfg.bump_amplitude, cfg.bump_width))
     state = EvolutionState(0.0, soliton_field(grid, SolitonParams(0.0, 1.0)), pot)
     _step_count(args.t_end, cfg.dt)     # a bad --t-end exits 2 before the stride uses it
-    res = evolve_pbo(state, args.t_end, cfg.dt,
-                     snapshot_stride=max(1, int(round(args.t_end / cfg.dt / 64))))
+    snapshots = _pbo_snapshots(state, args.t_end, cfg.dt,
+                               max(1, int(round(args.t_end / cfg.dt / 64))))
+    rows = []
+    for t, d in _fits(snapshots, "symplectic", SolitonParams(0.0, 1.0)):
+        rows.append(_track_record(t, d)[0])
+    final = EvolutionState(t, d.field, pot)     # the last fit is of the last snapshot
     out = _out_dir(cfg)
-    inv0 = invariants(res.states[0])
-    invT = invariants(res.states[-1])
+    inv0 = invariants(state)
+    invT = invariants(final)
     mass_drift = abs(invT.mass - inv0.mass) / abs(inv0.mass)
     energy_drift = (abs(invT.energy_perturbed - inv0.energy_perturbed)
                     / max(abs(inv0.energy_perturbed), 1e-300))
-    write_checkpoint(out / "final.bosl", res.states[-1])
-    track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
-    write_track_csv(out / "track.csv", track)
+    write_checkpoint(out / "final.bosl", final)
+    _write_track_rows(out / "track.csv", rows)
     print(f"wrote {out/'final.bosl'} and {out/'track.csv'}")
     energy = ("relative energy drift", energy_drift, 1e-6)
     if pot is None:

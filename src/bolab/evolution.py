@@ -64,6 +64,7 @@ family; every table takes the Nyquist rule of ``grid._real_nyquist``.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -410,17 +411,27 @@ def write_checkpoint(path, state: EvolutionState) -> None:
 
 
 def read_checkpoint(path) -> EvolutionState:
+    """The state a checkpoint holds, with ``potential=None``: the format
+    stores no potential.
+
+    A header whose magic or version is not this format's, a payload that
+    is not exactly the header's N samples (8 N bytes, no more and no
+    less), or a time that is not finite is a UsageError; an N or L that
+    no grid takes is the ConfigurationError of `Grid`.
+    """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload < 0:
             raise UsageError(f"checkpoint {path} truncated")
-        magic, version, n, length, t = _HEADER.unpack(head)
+        magic, version, n, length, t = _HEADER.unpack(fh.read(_HEADER.size))
         if magic != _MAGIC:
             raise UsageError(f"checkpoint {path} has bad magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise UsageError(f"unsupported checkpoint version {version}")
-        data = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if data.size != n:
-            raise UsageError(f"checkpoint {path} truncated")
+        if payload != 8 * n:
+            raise UsageError(f"checkpoint {path} has {payload} sample bytes, not 8 N = {8 * n}")
+        if not np.isfinite(t):
+            raise UsageError(f"checkpoint {path} has non-finite time {t}")
+        data = np.frombuffer(fh.read(payload), dtype="<f8")
     grid = Grid(int(n), float(length))
     return EvolutionState(float(t), Field(grid, data.astype(float)))

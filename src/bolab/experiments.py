@@ -29,8 +29,8 @@ from scipy.interpolate import CubicSpline
 from .errors import (ConfigurationError, ExperimentError, UsageError, require_count,
                      require_positive)
 from .evolution import EvolutionState, _pbo_snapshots
-from .grid import Field, Grid, cell_l2_profile, sobolev_norm
-from .modulation import ParameterTrack, _fits, _track_row, _write_track_rows
+from .grid import Field, Grid, sobolev_norm
+from .modulation import ParameterTrack, _fits, _track_record, _write_track_rows
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
 from .trajectories import (SCALE_STOP_HIGH, SCALE_STOP_LOW, convert_frame, exact_rhs,
@@ -240,12 +240,12 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
 
     Each snapshot is fitted as the evolution yields it, compared with the
     corrected trajectory (seeded from the first fit), and reduced to
-    scalars: its envelope ratio, its remainder's cell masses and its
-    track-CSV row.  The remainder is built once and profiled once by
-    `cell_l2_profile`: the masses are the squared cell norms and the row's
-    local sup is their maximum.  The first fault in time order stops the
-    member.  Returns the member, whose residual integrals cover its whole
-    horizon, and its residual table.
+    scalars: its envelope ratio, its track-CSV row and its remainder's
+    cell masses.  The row and the cell norms are the fit's one
+    `modulation._track_record`; the masses are the squared norms.  The
+    first fault in time order stops the member.  Returns the member,
+    whose residual integrals cover its whole horizon, and its residual
+    table.
     """
     start = time.perf_counter()
     grid = Grid(cfg.n_points, cfg.domain_length)
@@ -264,9 +264,8 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
         if not SCALE_STOP_LOW <= d.params.c <= SCALE_STOP_HIGH:
             raise ExperimentError(f"scale parameter left the window [{SCALE_STOP_LOW:g}, "
                                   f"{SCALE_STOP_HIGH:g}]: range ({min(c):.3g}, {max(c):.3g})")
-        r = d.remainder
-        norms = cell_l2_profile(r)[1]
-        rows.append(_track_row(t, d, r, float(np.max(norms))))
+        row, norms = _track_record(t, d)
+        rows.append(row)
         # the cell masses' time trapezoid, end weights 1/2, added in time order
         sq = norms ** 2
         if k == 0:

@@ -16,7 +16,10 @@ one home, for the multipliers here and the ETDRK4 tables alike.
 Unit-cell norms (||f||_{L2[n, n+1)} over integer n, the quantity of the
 local estimates) all come from `cell_l2_profile`, which holds the one
 spacing rule for them (at most 1/4) and works out its cells from the
-nodes on each call.
+nodes on each call.  The local sup norm sup_n ||f||_{L2[n, n+1)} is the
+profile's maximum, taken by the caller that holds the profile
+(`modulation._track_record`, whose cell norms also feed a sweep
+member's cell masses).
 """
 
 from __future__ import annotations
@@ -300,11 +303,6 @@ def cell_l2_profile(f: Field):
     starts = n_lo + np.arange(masses.size)
     starts.setflags(write=False)
     return starts, np.sqrt(np.maximum(masses, 0.0))
-
-
-def local_sup_norm(f: Field) -> float:
-    """sup over integer n of ||f||_{L2[n, n+1)}, the maximum of `cell_l2_profile`."""
-    return float(np.max(cell_l2_profile(f)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,14 @@ recentered so that the fitted soliton sits at the origin, bit for bit
 the one the Newton loop measured; a rebuild is two FFTs, about 0.4 ms at
 N = 8192.  A `ParameterTrack` thus holds its snapshots and no other
 field.  `track_parameters` collects the fits of one stream, `_fits`, which
-yields each fit as its snapshot arrives; a sweep member reads that stream
-once and keeps no track, only scalars and the CSV row of each fit.
+yields each fit as its snapshot arrives; `bolab evolve` and a sweep member
+read that stream once and keep no track.
+
+Each fit has one record, `_track_record`: its remainder rebuilt once and
+profiled once by `grid.cell_l2_profile`, giving the fit's track-CSV line
+and its cell norms, whose maximum is the line's local sup.  A sweep
+member also adds the squared norms to its cell masses.  `write_track_csv`
+writes the records of a collected track.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DecompositionError
-from .grid import Field, Grid, l2_norm, local_sup_norm, sobolev_norm, translate
+from .grid import Field, Grid, cell_l2_profile, l2_norm, sobolev_norm, translate
 from .soliton import (SolitonParams, profile, profile_derivative,
                       scaled_profile, soliton_field)
 
@@ -200,16 +206,19 @@ def track_parameters(snapshots, regime: str, initial_guess: SolitonParams) -> Pa
                           decompositions=[d for _, d in fits])
 
 
-def _track_row(t: float, d: Decomposition, r: Field, local_sup: float) -> str:
-    """The track-CSV line of the fit d at time t, whose remainder r has
-    unit-cell sup norm local_sup (the caller's, so one profile can serve)."""
+def _track_record(t: float, d: Decomposition):
+    """The record of the fit d at time t: its track-CSV line and its
+    remainder's unit-cell norms, from one rebuild and one profile of the
+    remainder.  The line's local sup is the largest cell norm."""
+    r = d.remainder
+    norms = cell_l2_profile(r)[1]
     cells = (t, d.params.a, d.params.c, d.residual, l2_norm(r), sobolev_norm(r, 0.5),
-             local_sup)
-    return ",".join(repr(float(v)) for v in cells) + "\r\n"
+             np.max(norms))
+    return ",".join(repr(float(v)) for v in cells) + "\r\n", norms
 
 
 def _write_track_rows(path, rows) -> None:
-    """Write a track CSV, its header and then the `_track_row` lines rows,
+    """Write a track CSV, its header and then the `_track_record` lines rows,
     in one call."""
     with open(path, "w", newline="") as fh:
         fh.write("t,a,c,residual,remainder_L2,remainder_Hhalf,remainder_local_sup\r\n"
@@ -222,8 +231,5 @@ def write_track_csv(path, track: ParameterTrack) -> None:
     Cells are float reprs and lines end in \\r\\n, the bytes ``csv.writer``
     gives these rows (no cell needs quoting); the file is written in one call.
     """
-    rows = []
-    for t, d in zip(track.times, track.decompositions):
-        r = d.remainder
-        rows.append(_track_row(t, d, r, local_sup_norm(r)))
-    _write_track_rows(path, rows)
+    _write_track_rows(path, [_track_record(t, d)[0]
+                             for t, d in zip(track.times, track.decompositions)])

@@ -3,11 +3,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from bolab import cli, experiments
+from bolab import (EvolutionState, Grid, PotentialSpec, SolitonParams, cli,
+                   evolve_pbo, experiments, read_checkpoint, soliton_field,
+                   track_parameters)
 from bolab.cli import main
 from bolab.errors import ConfigurationError
+from bolab.modulation import write_track_csv
 
 
 def test_trajectories_defaults_pass(tmp_path, capsys):
@@ -317,3 +321,35 @@ def test_free_flow_gates_mass_and_energy(tmp_path, capsys):
     assert [line.split(":")[0] for line in out.splitlines()
             if line.startswith(("PASS", "FAIL", "INFO"))] == [
         "PASS  relative mass drift", "PASS  relative energy drift"]
+
+
+def test_evolve_writes_what_the_list_forms_write(tmp_path, capsys):
+    # the one-pass command against the collected run and track it replaced
+    out = tmp_path / "out"
+    assert main(["--config", _small_config(tmp_path), "--out", str(out),
+                 "evolve", "--t-end", "1"]) == 0
+    cfg = experiments.ExperimentConfig(n_points=1024, domain_length=128.0)
+    pot = PotentialSpec.bump(0.05, cfg.bump_amplitude, cfg.bump_width)
+    u0 = soliton_field(Grid(cfg.n_points, cfg.domain_length), SolitonParams(0.0, 1.0))
+    # the stride is t_end / dt / 64 = 1.5625 rounded
+    res = evolve_pbo(EvolutionState(0.0, u0, pot), 1.0, cfg.dt, snapshot_stride=2)
+    write_track_csv(tmp_path / "list.csv",
+                    track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0)))
+    assert (out / "track.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+    final, last = read_checkpoint(out / "final.bosl"), res.states[-1]
+    assert final.time == last.time == 1.0
+    assert np.array_equal(final.field.values, last.field.values)
+
+
+def test_evolve_that_fails_writes_nothing(tmp_path, capsys):
+    # spacing 1/2 is too coarse for the unit-cell norms of the first
+    # snapshot's record: the run stops there, before any file is written
+    cfg = tmp_path / "coarse.cfg"
+    cfg.write_text("n_points = 512\ndomain_length = 256\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "evolve", "--t-end", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "too coarse for unit-cell norms" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert not (out / "final.bosl").exists() and not (out / "track.csv").exists()

@@ -1,5 +1,7 @@
 """Time integration of the perturbed, free, and linearized flows."""
 
+import math
+import struct
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +12,9 @@ import pytest
 import scipy.fft
 
 from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
-                   Grid, PotentialSpec, SolitonParams, evolve_linearized,
-                   evolve_pbo, inner, invariants, l2_norm, read_checkpoint,
-                   soliton_field, write_checkpoint)
+                   Grid, PotentialSpec, SolitonParams, UsageError,
+                   evolve_linearized, evolve_pbo, inner, invariants, l2_norm,
+                   read_checkpoint, soliton_field, write_checkpoint)
 from bolab.evolution import _Etdrk4Tables, _evolve, _pbo_flow, _step_count
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
@@ -586,6 +588,43 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bosl"
         path.write_bytes(b"NOPE!" + bytes(64))
-        from bolab import UsageError
         with pytest.raises(UsageError):
+            read_checkpoint(path)
+
+    def test_potential_is_not_stored(self, tmp_path, grid_small):
+        pot = PotentialSpec.bump(0.1, 0.2, 1.0)
+        path = tmp_path / "snap.bosl"
+        write_checkpoint(path, EvolutionState(0.5, Field.zeros(grid_small), pot))
+        assert read_checkpoint(path).potential is None
+
+    @staticmethod
+    def _edited(tmp_path, grid, edit):
+        """A checkpoint of a zero field at t = 0.5 whose bytes `edit` rewrote."""
+        path = tmp_path / "snap.bosl"
+        write_checkpoint(path, EvolutionState(0.5, Field.zeros(grid)))
+        path.write_bytes(edit(path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize("n", [2 ** 61, 2 ** 63], ids=["2^61", "2^63"])
+    def test_huge_sample_count_rejected(self, tmp_path, grid_small, n):
+        # 8 N bytes overflow a 64-bit count: the payload check, not numpy, says no
+        path = self._edited(tmp_path, grid_small,
+                            lambda raw: raw[:9] + struct.pack("<Q", n) + raw[17:])
+        with pytest.raises(UsageError, match="sample bytes"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda raw: raw + bytes(1),
+                                      lambda raw: raw + bytes(8),
+                                      lambda raw: raw[:-1]],
+                             ids=["one-trailing-byte", "one-trailing-sample",
+                                  "one-byte-short"])
+    def test_payload_must_be_exactly_n_samples(self, tmp_path, grid_small, edit):
+        with pytest.raises(UsageError, match="sample bytes"):
+            read_checkpoint(self._edited(tmp_path, grid_small, edit))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, tmp_path, grid_small, t):
+        path = self._edited(tmp_path, grid_small,
+                            lambda raw: raw[:25] + struct.pack("<d", t) + raw[33:])
+        with pytest.raises(UsageError, match="non-finite time"):
             read_checkpoint(path)

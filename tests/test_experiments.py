@@ -15,7 +15,7 @@ from bolab import (ConfigurationError, Decomposition, EvolutionState, Experiment
                    cell_l2_profile, convert_frame, evolve_pbo, fit_scaling_exponent,
                    integrate_exact, ode_residuals, run_theorem_sweep, sobolev_norm,
                    soliton_field, track_parameters)
-from bolab import experiments, grid, trajectories
+from bolab import experiments, grid, modulation, trajectories
 from bolab.experiments import (ResidualTable, SweepMember, _horizon, _run_member,
                                _window, build_perturbation, parse_config)
 from bolab.modulation import write_track_csv
@@ -215,7 +215,7 @@ class TestRunMember:
         def counted(f):
             calls.append(f)
             return cell_l2_profile(f)
-        monkeypatch.setattr(experiments, "cell_l2_profile", counted)
+        monkeypatch.setattr(modulation, "cell_l2_profile", counted)
         monkeypatch.setattr(grid, "cell_l2_profile", counted)
         m, _ = _run_member(cfg, h, _horizon(cfg, pot, h), tmp_path)
         snapshots = len(Path(m.csv_track).read_text(encoding="utf-8").splitlines()) - 1

@@ -122,12 +122,12 @@ def test_every_public_name_has_a_caller():
     assert _unreferenced(defining, referencing) == set(UNREFERENCED_ALLOWED)
 
 
-# The list entry points keep every snapshot or fit of a run; `bolab evolve`,
-# the tests and perfbench call them, and the sweeps read their runs as streams.
+# The list entry points keep every snapshot or fit of a run; the tests and
+# perfbench call them, and the commands and sweeps read their runs as streams.
 LIST_FORMS = {"evolve_pbo", "evolve_linearized", "track_parameters", "write_track_csv"}
 
 
-@pytest.mark.parametrize("name", ["experiments.py", "virial.py"])
+@pytest.mark.parametrize("name", ["cli.py", "experiments.py", "virial.py"])
 def test_sweeps_read_their_runs_once(name):
     source = (Path(bolab.__file__).parent / name).read_text(encoding="utf-8")
     assert _referenced_names([source]) & LIST_FORMS == set()
