@@ -4,7 +4,7 @@ dynamics in slowly varying potentials.
 Submodules, roughly bottom-up:
 
     grid          periodic grid, multiplier operators, norms
-    soliton       the soliton family, eigenfunctions, exact integral table
+    soliton       the soliton family, eigenfunctions, exact values
     potential     the slowly varying bump potential V(x) = W(hx)
     operators     the symmetric operators around the soliton, commutator probe
     spectral      matrix-free spectra and constrained coercivity (ARPACK)
@@ -24,8 +24,8 @@ from .errors import (BolabError, ConfigurationError, DecompositionError,
 from .grid import (Field, Grid, LocalizerSpec, cell_l2_profile, derivative,
                    dgamma_inverse, fractional_derivative, hilbert, inner,
                    integral, l2_norm, localizer, sobolev_norm, translate)
-from .soliton import (ClosedFormTable, SolitonParams, closed_form_table,
-                      eigenfunction_field, soliton_field, soliton_residual)
+from .soliton import (SolitonParams, eigenfunction_field, soliton_field,
+                      soliton_residual)
 from .potential import PotentialSpec
 from .operators import (CommutatorProbeResult, SymmetricOperator,
                         commutator_probe, quadratic_form)

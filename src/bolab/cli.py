@@ -52,10 +52,11 @@ from .grid import Field, Grid, hilbert, inner, l2_norm
 from .modulation import _fits, _track_record, _write_track_rows
 from .operators import SymmetricOperator
 from .potential import PotentialSpec
-from .soliton import (SolitonParams, closed_form_table,
-                      periodic_profile_hilbert, profile, profile_derivative,
-                      profile_second_derivative, scaled_profile, soliton_field,
-                      soliton_residual)
+from .soliton import (COS2_BETA, INNER_YQ_PRIME_Q, LAMBDA_MINUS, LAMBDA_PLUS,
+                      NORM_E_MINUS_SQ, NORM_Q_SQ, NORM_YQ_PRIME_SQ, SolitonParams,
+                      eigenfunction_field, periodic_profile_hilbert, profile,
+                      profile_derivative, profile_second_derivative,
+                      scaled_profile, soliton_field, soliton_residual)
 from .spectral import spectrum_below_continuum
 from .trajectories import (convert_frame, gronwall_sweep, integrate_exact,
                            integrate_reference, write_trajectory_csv)
@@ -88,16 +89,15 @@ def cmd_identities(args, cfg) -> list:
     # periodised profile; the real-line -y q is O(L^-1/2) away from both
     hq = hilbert(q) - Field(grid, periodic_profile_hilbert(y, grid.domain_length))
     alg = Field(grid, y * profile_derivative(y) - (0.5 * profile(y) ** 2 - 2 * profile(y)))
-    tbl = closed_form_table()
     yqp = Field(grid, scaled_profile(y))
-    em = q + tbl.lambda_plus * yqp
+    em, _ = eigenfunction_field(grid, "-")
     table = [
-        ("||q||^2", inner(q, q), tbl.normQ_sq),
-        ("||(yq)'||^2", inner(yqp, yqp), tbl.norm_yQprime_sq),
-        ("<(yq)', q>", inner(yqp, q), tbl.inner_yQprime_Q),
-        ("||q + lam (yq)'||^2", inner(em, em), tbl.norm_eminus_combo_sq),
+        ("||q||^2", inner(q, q), NORM_Q_SQ),
+        ("||(yq)'||^2", inner(yqp, yqp), NORM_YQ_PRIME_SQ),
+        ("<(yq)', q>", inner(yqp, q), INNER_YQ_PRIME_Q),
+        ("||q + lam (yq)'||^2", inner(em, em), NORM_E_MINUS_SQ),
         ("cos^2(beta)", inner(yqp, em) ** 2 / (inner(yqp, yqp) * inner(em, em)),
-         tbl.cos2_beta),
+         COS2_BETA),
     ]
     return [("profile equation residual",
              soliton_residual(SolitonParams(0.0, 1.0), grid), 1e-3),
@@ -120,11 +120,10 @@ def cmd_spectrum(args, cfg) -> list:
         "edge_ambiguous": report.edge_ambiguous[:8],
         "warnings": report.warnings,
     })
-    tbl = closed_form_table()
     got = report.discrete_eigenvalues
     return [("|isolated eigenvalue count - 3|", abs(len(got) - 3), 0),
             *((f"isolated eigenvalue {g:.6f} vs {e:.6f}", abs(g - e), 5e-3)
-              for g, e in zip(got, [tbl.lambda_minus, 0.0, tbl.lambda_plus]))]
+              for g, e in zip(got, [LAMBDA_MINUS, 0.0, LAMBDA_PLUS]))]
 
 
 def cmd_evolve(args, cfg) -> list:

@@ -5,8 +5,9 @@ The parameter fit is a 2x2 Newton iteration on the symplectic
 orthogonality conditions <u - q_{a,c}, q_{a,c}> = <u - q_{a,c}, (x - a)
 q_{a,c}> = 0, with an analytically assembled Jacobian (the derivative
 fields of the soliton family are built from `soliton.profile`,
-`profile_derivative` and `scaled_profile`, and the leading Jacobian
-entries reduce to the exact table constants).
+`profile_derivative` and `scaled_profile`; at u = q the leading Jacobian
+entries are +-4 pi, the constants INNER_YQ_PRIME_Q and NORM_Q_SQ/2 of
+`soliton`).
 
 A fit keeps the field it fitted, not its remainder: `Field` values are
 read-only, so the reference is safe, and it keeps that field alive.

@@ -37,7 +37,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 from .errors import ConfigurationError, DiagnosticError, UsageError, require_positive
 from .grid import (Field, Grid, apply_multiplier, dgamma_inverse,
                    dgamma_inverse_adjoint, fractional_derivative, inner)
-from .soliton import closed_form_table, profile, profile_derivative, scaled_profile
+from .soliton import profile, profile_derivative, qprime_norm_sq, scaled_profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +50,10 @@ class SymmetricOperator:
     w: np.ndarray
 
     def __post_init__(self):
+        w = np.asarray(self.w, dtype=float)
+        if w.shape != (self.grid.n_points,):
+            raise UsageError(f"weight must have shape ({self.grid.n_points},), got {w.shape}")
+        object.__setattr__(self, "w", w)
         self.w.setflags(write=False)
 
     @classmethod
@@ -77,7 +81,7 @@ def projector_parts(grid: Grid):
     L q'' - q' q' = 0, since d/dy commutes with 1 + D.
     """
     qp = profile_derivative(grid.nodes)
-    return qp * qp, qp, closed_form_table().normQprime_c_sq(1.0)
+    return qp * qp, qp, qprime_norm_sq(1.0)
 
 
 def quadratic_form(op: SymmetricOperator, f: Field) -> float:

@@ -1,4 +1,4 @@
-"""Soliton family, its derivatives, eigenfunctions, and exact integral table.
+"""Soliton family, its derivatives, eigenfunctions, and exact values.
 
 The traveling-wave profile is the algebraically decaying bump
 ``q(y) = 4/(1 + y^2)`` and the two-parameter family is
@@ -10,9 +10,11 @@ module is the one home of those formulas: the Newton fit of
 ``modulation._constraint_fields`` builds the (a, c) derivatives of
 q_{a,c} from ``profile``, ``profile_derivative`` and ``scaled_profile``.
 ``eigenfunction_field`` gives the closed-form bound states of the
-linearized operator, the oracle of the operator and soliton tests.  The
-integral table keeps its entries symbolic (multiples of pi and sqrt(5))
-so golden tests stay self-documenting.
+linearized operator, the oracle of the operator and soliton tests and of
+``bolab identities``.  The exact values of L = 1 + |D| - q and of q (the
+bound-state eigenvalues and the integral table) are the module constants
+below, each written once as its formula in pi and sqrt(5); the commands,
+the operators and the tests read them from here.
 """
 
 from __future__ import annotations
@@ -26,8 +28,20 @@ from .errors import ConfigurationError, require_positive
 from .grid import Field, Grid, derivative, hilbert, l2_norm
 
 
-GOLDEN_PLUS = (math.sqrt(5.0) - 1.0) / 2.0      # positive bound-state eigenvalue
-GOLDEN_MINUS = -(math.sqrt(5.0) + 1.0) / 2.0    # negative bound-state eigenvalue
+# exact values of L = 1 + |D| - q and of q (Kenig-Martel)
+LAMBDA_PLUS = (math.sqrt(5.0) - 1.0) / 2.0              # positive bound-state eigenvalue
+LAMBDA_MINUS = -(math.sqrt(5.0) + 1.0) / 2.0            # negative bound-state eigenvalue
+NORM_Q_SQ = 8.0 * math.pi                               # ||q||^2
+NORM_YQ_PRIME_SQ = 4.0 * math.pi                        # ||(yq)'||^2
+INNER_YQ_PRIME_Q = 4.0 * math.pi                        # <(yq)', q>
+NORM_E_MINUS_SQ = 2.0 * (5.0 + math.sqrt(5.0)) * math.pi  # ||q + LAMBDA_PLUS (yq)'||^2
+INT_Z2_Q_QPP = 4.0 * math.pi                            # int z^2 q(z) q''(z) dz
+COS2_BETA = 0.5 + math.sqrt(5.0) / 10.0                 # alignment of (yq)' with e-
+
+
+def qprime_norm_sq(c: float) -> float:
+    """||d/dx q_{a,c}||^2 = 4 pi c^3."""
+    return 4.0 * math.pi * c ** 3
 
 
 @dataclass(frozen=True)
@@ -118,48 +132,18 @@ def soliton_residual(p: SolitonParams, grid: Grid) -> float:
 def eigenfunction_field(grid: Grid, sign: str):
     """Bound-state eigenfunction and eigenvalue of the linearized operator.
 
-    sign "+" gives the positive eigenvalue (sqrt(5)-1)/2, sign "-" the
-    negative one -(sqrt(5)+1)/2; both eigenfunctions are even.
+    sign "+" gives e+ = q + LAMBDA_MINUS (yq)' with eigenvalue LAMBDA_PLUS,
+    sign "-" gives e- = q + LAMBDA_PLUS (yq)' with eigenvalue LAMBDA_MINUS;
+    both eigenfunctions are even.
     """
     if sign not in ("+", "-"):
         raise ConfigurationError(f"sign must be '+' or '-', got {sign!r}")
     y = grid.nodes
     if sign == "+":
-        coef = (-math.sqrt(5.0) - 1.0) / 2.0
-        lam = GOLDEN_PLUS
+        coef = LAMBDA_MINUS
+        lam = LAMBDA_PLUS
     else:
-        coef = (math.sqrt(5.0) - 1.0) / 2.0
-        lam = GOLDEN_MINUS
+        coef = LAMBDA_PLUS
+        lam = LAMBDA_MINUS
     e = Field(grid, profile(y) + coef * scaled_profile(y))
     return e, lam
-
-
-@dataclass(frozen=True)
-class ClosedFormTable:
-    """Exact quantities used by golden tests and the modulation solver."""
-
-    normQ_sq: float                 # ||q||_L2^2
-    norm_yQprime_sq: float          # ||(yq)'||_L2^2
-    inner_yQprime_Q: float          # <(yq)', q>
-    norm_eminus_combo_sq: float     # ||q + ((sqrt5-1)/2)(yq)'||_L2^2
-    int_z2_Q_Qpp: float             # int z^2 q(z) q''(z) dz
-    cos2_beta: float                # alignment of (yq)' with the negative mode
-    lambda_plus: float
-    lambda_minus: float
-
-    def normQprime_c_sq(self, c: float) -> float:
-        """||d/dx q_{a,c}||_L2^2 = 4*pi*c^3."""
-        return 4.0 * math.pi * c ** 3
-
-
-def closed_form_table() -> ClosedFormTable:
-    return ClosedFormTable(
-        normQ_sq=8.0 * math.pi,
-        norm_yQprime_sq=4.0 * math.pi,
-        inner_yQprime_Q=4.0 * math.pi,
-        norm_eminus_combo_sq=2.0 * (5.0 + math.sqrt(5.0)) * math.pi,
-        int_z2_Q_Qpp=4.0 * math.pi,
-        cos2_beta=0.5 + math.sqrt(5.0) / 10.0,
-        lambda_plus=GOLDEN_PLUS,
-        lambda_minus=GOLDEN_MINUS,
-    )

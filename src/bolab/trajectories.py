@@ -21,7 +21,7 @@ explicit None, not a large float.
 Gronwall sweep and for the theorem sweep: the least-squares slope of
 log(value) against log(h) with its standard error, or (None, None)
 when no order is defined, with fewer than 3 points or an h or a value
-that is not positive (two identical flows deviate by 0).  So
+that is not finite and positive (two identical flows deviate by 0).  So
 `gronwall_sweep` needs at least three distinct h.
 
 Each integration runs once per process: `_integrated`, one bounded
@@ -31,8 +31,9 @@ the spec is its own key; the reference flow does not involve h and is
 keyed on its spec with h fixed at `_REFERENCE_H`.  Its arrays are
 read-only and shared; every public call wraps them in a fresh
 TrajectoryState.  So `gronwall_sweep` integrates the reference flow once
-per distinct shape W, and `bolab trajectories` does not integrate
-again, in its sweep, the two h = --h flows it has just written.
+per distinct shape W, and `bolab trajectories`, which runs its sweep
+before it writes its CSVs, takes the two h = --h flows it writes from
+the cache instead of integrating them again.
 
 The stepper carries (A, C) as a pair of Python floats and calls
 ``PotentialSpec.shape_derivatives`` with a scalar, so every right-hand
@@ -171,10 +172,16 @@ def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> T
 
 def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
                     y0=(0.0, 1.0)) -> TrajectoryState:
-    """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a)."""
+    """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a).
+
+    A0 must be finite and C0 must pass `require_positive`; both are checked
+    before the first step.
+    """
     s_end, ds = require_positive("s_end", s_end), require_positive("ds", ds)
-    times, pos, sc, _ = _integrated("exact", pot, s_end, ds,
-                                    (float(y0[0]), float(y0[1])))
+    a0, c0 = float(y0[0]), require_positive("C0", y0[1])
+    if not math.isfinite(a0):
+        raise ConfigurationError(f"A0 must be finite, got {a0}")
+    times, pos, sc, _ = _integrated("exact", pot, s_end, ds, (a0, c0))
     return TrajectoryState("slow_s", "exact", times, pos, sc)
 
 
@@ -195,10 +202,10 @@ def fit_scaling_exponent(points):
     """Least-squares slope of log(value) against log(h), with its standard error.
 
     Returns (order, stderr), or (None, None) when no order is defined:
-    fewer than 3 points, or an h or a value that is not positive.
+    fewer than 3 points, or an h or a value that is not finite and positive.
     """
     pts = [(float(h), float(v)) for h, v in points]
-    if len(pts) < 3 or not all(h > 0 and v > 0 for h, v in pts):
+    if len(pts) < 3 or not all(math.isfinite(x) and x > 0 for pt in pts for x in pt):
         return None, None
     x = np.log([h for h, _ in pts])
     y = np.log([v for _, v in pts])

@@ -42,6 +42,7 @@ BOUNDARY = [
     ("h", lambda v: convert_frame(integrate_exact(POT, 0.01), v)),
     ("dt", lambda v: local_smoothing_lhs([F, F], v, SPEC)),
     ("dt", lambda v: g_remainder([F, F], [F, F], v, SPEC, 0.2)),
+    ("C0", lambda v: integrate_exact(POT, 0.01, y0=(0.0, v))),
 ]
 
 
@@ -52,6 +53,12 @@ def test_rejects_non_finite_or_non_positive(name, call, value):
     with pytest.raises(ConfigurationError,
                        match=f"^{re.escape(name)} must be finite and positive, got {value}$"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_integrate_exact_rejects_a_start_position_that_is_not_finite(value):
+    with pytest.raises(ConfigurationError, match=f"^A0 must be finite, got {value}$"):
+        integrate_exact(POT, 0.01, y0=(value, 1.0))
 
 
 @pytest.mark.parametrize("value, want", [(2, 2.0), (0.5, 0.5), (np.float64(3.0), 3.0),

@@ -37,6 +37,18 @@ class TestSymmetricOperator:
             with pytest.raises(ConfigurationError):
                 SymmetricOperator.linearized(grid_small, c)
 
+    @pytest.mark.parametrize("size", [1, 65])
+    def test_rejects_a_weight_of_the_wrong_shape(self, size):
+        with pytest.raises(UsageError, match=r"^weight must have shape \(64,\), got"):
+            SymmetricOperator(Grid(64, 16.0), 1.0, 1.0, np.full(size, 0.5))
+
+    def test_accepts_a_list_of_node_samples(self):
+        grid = Grid(64, 16.0)
+        w = [0.5] * grid.n_points
+        op = SymmetricOperator(grid, 1.0, 1.0, w)
+        assert op.w.dtype == float and not op.w.flags.writeable
+        np.testing.assert_array_equal(op.w, w)
+
 
 class TestKernelIdentities:
     def test_translation_mode_annihilated(self, grid_default):

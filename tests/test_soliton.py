@@ -1,14 +1,16 @@
-"""Soliton family, residuals, eigenfunctions, and the exact integral table."""
+"""Soliton family, residuals, eigenfunctions, and the exact values."""
 
 import numpy as np
 import pytest
 
 from bolab import (ConfigurationError, Field, Grid, SolitonParams,
-                   closed_form_table, eigenfunction_field, hilbert, inner,
-                   l2_norm, soliton_field, soliton_residual)
+                   eigenfunction_field, hilbert, inner, l2_norm, soliton_field,
+                   soliton_residual)
 from bolab.modulation import _constraint_fields
-from bolab.soliton import (periodic_profile, periodic_profile_hilbert, profile,
-                           profile_derivative, scaled_profile)
+from bolab.soliton import (COS2_BETA, INNER_YQ_PRIME_Q, INT_Z2_Q_QPP, LAMBDA_MINUS,
+                           LAMBDA_PLUS, NORM_E_MINUS_SQ, NORM_Q_SQ, NORM_YQ_PRIME_SQ,
+                           periodic_profile, periodic_profile_hilbert, profile,
+                           profile_derivative, qprime_norm_sq, scaled_profile)
 
 
 def _family_derivatives(grid, p):
@@ -137,6 +139,14 @@ class TestEigenfunctions:
         assert lam_p == pytest.approx((np.sqrt(5) - 1) / 2, rel=1e-14)
         assert lam_m == pytest.approx(-(np.sqrt(5) + 1) / 2, rel=1e-14)
 
+    def test_e_minus_is_q_plus_lambda_plus_yq_prime(self, grid_default):
+        # the field `bolab identities` measures, bit for bit
+        y = grid_default.nodes
+        e, lam = eigenfunction_field(grid_default, "-")
+        hand = (soliton_field(grid_default, SolitonParams(0.0, 1.0))
+                + LAMBDA_PLUS * Field(grid_default, scaled_profile(y)))
+        assert np.array_equal(e.values, hand.values) and lam == LAMBDA_MINUS
+
     def test_evenness(self, grid_default):
         for sign in ("+", "-"):
             e, _ = eigenfunction_field(grid_default, sign)
@@ -151,14 +161,13 @@ class TestEigenfunctions:
 
 class TestClosedFormTable:
     def test_exact_values(self):
-        tbl = closed_form_table()
-        assert tbl.normQ_sq == pytest.approx(8 * np.pi, rel=1e-15)
-        assert tbl.norm_yQprime_sq == pytest.approx(4 * np.pi, rel=1e-15)
-        assert tbl.inner_yQprime_Q == pytest.approx(4 * np.pi, rel=1e-15)
-        assert tbl.norm_eminus_combo_sq == pytest.approx(2 * (5 + np.sqrt(5)) * np.pi,
-                                                         rel=1e-15)
-        assert tbl.cos2_beta == pytest.approx(0.5 + np.sqrt(5) / 10, rel=1e-15)
-        assert tbl.normQprime_c_sq(2.0) == pytest.approx(32 * np.pi, rel=1e-15)
+        assert NORM_Q_SQ == pytest.approx(8 * np.pi, rel=1e-15)
+        assert NORM_YQ_PRIME_SQ == pytest.approx(4 * np.pi, rel=1e-15)
+        assert INNER_YQ_PRIME_Q == pytest.approx(4 * np.pi, rel=1e-15)
+        assert NORM_E_MINUS_SQ == pytest.approx(2 * (5 + np.sqrt(5)) * np.pi,
+                                                rel=1e-15)
+        assert COS2_BETA == pytest.approx(0.5 + np.sqrt(5) / 10, rel=1e-15)
+        assert qprime_norm_sq(2.0) == pytest.approx(32 * np.pi, rel=1e-15)
 
     @pytest.mark.parametrize("entry,builder", [
         ("normQ_sq", lambda y: profile(y) ** 2),
@@ -166,37 +175,34 @@ class TestClosedFormTable:
         ("inner_yQprime_Q", lambda y: scaled_profile(y) * profile(y)),
     ])
     def test_quadrature_agreement(self, grid_default, entry, builder):
-        tbl = closed_form_table()
+        exact = {"normQ_sq": NORM_Q_SQ, "norm_yQprime_sq": NORM_YQ_PRIME_SQ,
+                 "inner_yQprime_Q": INNER_YQ_PRIME_Q}[entry]
         got = grid_default.spacing * np.sum(builder(grid_default.nodes))
-        assert got == pytest.approx(getattr(tbl, entry), rel=1e-6)
+        assert got == pytest.approx(exact, rel=1e-6)
 
     def test_eminus_combo_quadrature(self, grid_default):
-        tbl = closed_form_table()
         y = grid_default.nodes
-        em = profile(y) + tbl.lambda_plus * scaled_profile(y)
+        em = profile(y) + LAMBDA_PLUS * scaled_profile(y)
         got = grid_default.spacing * np.sum(em * em)
-        assert got == pytest.approx(tbl.norm_eminus_combo_sq, rel=1e-6)
+        assert got == pytest.approx(NORM_E_MINUS_SQ, rel=1e-6)
 
     def test_curvature_moment_quadrature(self, grid_default):
         from bolab.soliton import profile_second_derivative
-        tbl = closed_form_table()
         y = grid_default.nodes
         got = grid_default.spacing * np.sum(y * y * profile(y)
                                             * profile_second_derivative(y))
-        assert got == pytest.approx(tbl.int_z2_Q_Qpp, rel=1e-6)
+        assert got == pytest.approx(INT_Z2_Q_QPP, rel=1e-6)
 
     def test_quadrature_improves_under_doubling(self, grid_default, grid_wide):
-        tbl = closed_form_table()
         errs = []
         for g in (grid_default, grid_wide):
             got = g.spacing * np.sum(scaled_profile(g.nodes) * profile(g.nodes))
-            errs.append(abs(got - tbl.inner_yQprime_Q))
+            errs.append(abs(got - INNER_YQ_PRIME_Q))
         assert errs[1] < errs[0]
 
     def test_cos2_beta_from_samples(self, grid_default):
-        tbl = closed_form_table()
         y = grid_default.nodes
         yqp = Field(grid_default, scaled_profile(y))
-        em = Field(grid_default, profile(y) + tbl.lambda_plus * scaled_profile(y))
+        em = Field(grid_default, profile(y) + LAMBDA_PLUS * scaled_profile(y))
         cos2 = inner(yqp, em) ** 2 / (inner(yqp, yqp) * inner(em, em))
-        assert cos2 == pytest.approx(tbl.cos2_beta, rel=1e-6)
+        assert cos2 == pytest.approx(COS2_BETA, rel=1e-6)

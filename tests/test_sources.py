@@ -76,8 +76,6 @@ UNREFERENCED_ALLOWED = {
         "a paper lemma behind the virial estimate, tested and waiting for a "
         "CLI gate (ROADMAP item 7)"),
     "read_checkpoint": "the reader of the final.bosl that `bolab evolve` writes",
-    "eigenfunction_field": "the closed-form bound states e+ and e- of L, the "
-                           "oracle of the operator and soliton tests",
 }
 BENCH_SOURCES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 

@@ -14,17 +14,14 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from bolab import (ConfigurationError, DiagnosticError, Field, Grid,
                    SymmetricOperator, UsageError, angle_lemma_bound,
-                   closed_form_table, constrained_min_rayleigh,
-                   fractional_derivative, inner, l2_norm, quadratic_form,
-                   spectrum_below_continuum)
+                   constrained_min_rayleigh, fractional_derivative, inner,
+                   l2_norm, quadratic_form, spectrum_below_continuum)
 from bolab import spectral
 from bolab.grid import apply_multiplier
-from bolab.soliton import (eigenfunction_field, profile, profile_derivative,
-                           scaled_profile)
+from bolab.soliton import (LAMBDA_MINUS, LAMBDA_PLUS, eigenfunction_field,
+                           profile, profile_derivative, scaled_profile)
 
 from conftest import dense_oracle, random_band_limited
-
-TBL = closed_form_table()
 
 
 def discretize(op):
@@ -146,7 +143,7 @@ class TestSpectrum:
     def test_isolated_eigenvalues(self, lin_report):
         got = lin_report.discrete_eigenvalues
         assert len(got) == 3
-        expected = [TBL.lambda_minus, 0.0, TBL.lambda_plus]
+        expected = [LAMBDA_MINUS, 0.0, LAMBDA_PLUS]
         for g, e in zip(got, expected):
             assert abs(g - e) <= 5e-3
 
@@ -223,7 +220,7 @@ class TestConstrainedRayleigh:
     def test_squared_operator_gap(self, lin_op, grid_spec):
         qp = Field(grid_spec, profile_derivative(grid_spec.nodes))
         m = constrained_min_rayleigh(squared(lin_op), [qp], "L2")
-        assert m >= TBL.lambda_plus ** 2 - 5e-3
+        assert m >= LAMBDA_PLUS ** 2 - 5e-3
 
     def test_virial_coercivity_resolution_stable(self):
         vals = []
@@ -288,7 +285,7 @@ class TestAngleBound:
         # constraint, the bound collapses to exactly zero
         em, _ = eigenfunction_field(grid_wide, "-")
         yqp = Field(grid_wide, scaled_profile(grid_wide.nodes))
-        got = angle_lemma_bound(TBL.lambda_minus, TBL.lambda_plus, em, yqp)
+        got = angle_lemma_bound(LAMBDA_MINUS, LAMBDA_PLUS, em, yqp)
         assert abs(got) <= 1e-8
 
     def test_zero_norm_rejected(self, grid_small):
@@ -315,5 +312,5 @@ class TestAngleBound:
             vv -= (dx * (vv @ f.values)) * f.values / (dx * (f.values @ f.values))
             v = Field(grid, vv)
             quot = quadratic_form(op, v) / inner(v, v)
-            bound = angle_lemma_bound(TBL.lambda_minus, TBL.lambda_plus, em, f)
+            bound = angle_lemma_bound(LAMBDA_MINUS, LAMBDA_PLUS, em, f)
             assert quot >= bound - 5e-3

@@ -294,6 +294,8 @@ class TestScalingFit:
         [(0.2, 1.0), (0.1, 0.0), (0.05, 0.1)],              # a zero value
         [(0.2, 1.0), (0.1, math.nan), (0.05, 0.1)],         # a value that is not a number
         [(0.2, 1.0), (-0.1, 0.5), (0.05, 0.1)],             # a negative h
+        [(0.2, 1.0), (0.1, math.inf), (0.05, 0.1)],         # an infinite value
+        [(math.inf, 1.0), (0.1, 0.5), (0.05, 0.1)],         # an infinite h
     ])
     def test_no_order(self, points):
         assert fit_scaling_exponent(points) == (None, None)
