@@ -36,7 +36,7 @@ from .evolution import (EvolutionState, InvariantReport, evolve_linearized,
 from .modulation import (Decomposition, ParameterTrack, decompose,
                          track_parameters)
 from .trajectories import (GronwallReport, TrajectoryState, convert_frame,
-                           fit_scaling_exponent, gronwall_compare, gronwall_sweep,
+                           fit_scaling_exponent, gronwall_sweep,
                            integrate_exact, integrate_reference)
 from .virial import (VirialReport, g_remainder, local_smoothing_lhs,
                      virial_sweep)

@@ -83,8 +83,11 @@ _CONFIG_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key = value config text into an ExperimentConfig."""
-    kwargs = {}
+    """Parse flat key = value config text into an ExperimentConfig.
+
+    Each key may be set once; a second line for it is an error.
+    """
+    kwargs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,6 +95,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigurationError(f"config line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigurationError(f"config line {lineno}: key {key!r} is already "
+                                     f"set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             if key == "h_list":
                 kwargs[key] = tuple(float(v) for v in val.split(",") if v.strip())

@@ -17,12 +17,17 @@ crosses, ``scipy.optimize.brentq`` finds the partial step length whose
 C lands on the bound, to 1e-10 in slow time; "never" is encoded as an
 explicit None, not a large float.
 
+`gronwall_sweep` takes sup|A_ref - A_exact| and sup|C_ref - C_exact| per
+h over the samples the two flows share: both step on s = k*ds from the
+same start, so their times agree bit for bit up to the reference's stop,
+and no resampling enters the deviation.
+
 `fit_scaling_exponent` is the one order fit in h, for this module's
 Gronwall sweep and for the theorem sweep: the least-squares slope of
 log(value) against log(h) with its standard error, or (None, None)
-when no order is defined, with fewer than 3 points or an h or a value
-that is not finite and positive (two identical flows deviate by 0).  So
-`gronwall_sweep` needs at least three distinct h.
+when no order is defined, with fewer than 3 points, two equal h, or an
+h or a value that is not finite and positive (two identical flows
+deviate by 0).  So `gronwall_sweep` needs at least three distinct h.
 
 Each integration runs once per process: `_integrated`, one bounded
 ``functools.lru_cache``, owns the results and keys them on
@@ -50,7 +55,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .errors import ConfigurationError, UsageError, require_positive
@@ -202,10 +206,12 @@ def fit_scaling_exponent(points):
     """Least-squares slope of log(value) against log(h), with its standard error.
 
     Returns (order, stderr), or (None, None) when no order is defined:
-    fewer than 3 points, or an h or a value that is not finite and positive.
+    fewer than 3 points, two equal h, or an h or a value that is not finite
+    and positive.
     """
     pts = [(float(h), float(v)) for h, v in points]
-    if len(pts) < 3 or not all(math.isfinite(x) and x > 0 for pt in pts for x in pt):
+    if (len(pts) < 3 or len({h for h, _ in pts}) < len(pts)
+            or not all(math.isfinite(x) and x > 0 for pt in pts for x in pt)):
         return None, None
     x = np.log([h for h, _ in pts])
     y = np.log([v for _, v in pts])
@@ -224,38 +230,17 @@ class GronwallReport:
     per_h: list                         # (h, sup|A_dev|, sup|C_dev|) per h
 
 
-def gronwall_compare(ref: TrajectoryState, ex: TrajectoryState) -> tuple:
-    """(sup|A_ref - A_ex|, sup|C_ref - C_ex|) of two same-frame trajectories
-    on their overlap.
-
-    Both inputs are resampled by cubic interpolation onto a common mesh.
-    A single comparison has no h-order; `gronwall_sweep` fits one.
-    """
-    if ref.frame != ex.frame:
-        raise UsageError("trajectories live in different frames")
-    t_lo = max(ref.times[0], ex.times[0])
-    t_hi = min(ref.times[-1], ex.times[-1])
-    if not (t_hi > t_lo):
-        raise UsageError("trajectories have no overlapping time window")
-    mesh = np.linspace(t_lo, t_hi, 1001)
-    devs = []
-    for get in ("positions", "scales"):
-        fr = CubicSpline(ref.times, getattr(ref, get))(mesh)
-        fe = CubicSpline(ex.times, getattr(ex, get))(mesh)
-        devs.append(float(np.max(np.abs(fr - fe))))
-    return devs[0], devs[1]
-
-
 def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> GronwallReport:
     """Compare reference vs corrected flow across h and fit the deviation order.
 
-    pot_factory(h) must return the potential at slow scale h.  The fitted
-    order is `fit_scaling_exponent`'s slope of sup|C_exact - C_reference|
-    against h, so the sweep needs at least three distinct h values; it is
-    None when a deviation is 0.  The reference flow does not involve h:
-    the integration cache (see the module docstring) runs it once per
-    distinct shape W and every h with that shape shares its read-only
-    arrays.
+    pot_factory(h) must return the potential at slow scale h.  Each sup
+    runs over the samples both flows share: all of them, or those before
+    the reference's stop if it stops.  The fitted order is
+    `fit_scaling_exponent`'s slope of sup|C_exact - C_reference| against h,
+    so the sweep needs at least three distinct h values; it is None when a
+    deviation is 0.  The reference flow does not involve h: the integration
+    cache (see the module docstring) runs it once per distinct shape W and
+    every h with that shape shares its read-only arrays.
     """
     if len(set(h_values)) < len(h_values):
         raise UsageError(f"sweep h values must be distinct, got {list(h_values)}")
@@ -264,8 +249,13 @@ def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> Gro
     per_h = []
     for h in h_values:
         pot = pot_factory(h)
-        per_h.append((float(h), *gronwall_compare(integrate_reference(pot, s_end, ds),
-                                                  integrate_exact(pot, s_end, ds))))
+        ref, ex = integrate_reference(pot, s_end, ds), integrate_exact(pot, s_end, ds)
+        # a stopped reference ends at a partial step where the corrected flow
+        # has no sample; both flows share every earlier time bit for bit
+        n = ref.times.size - (ref.stop_time is not None)
+        per_h.append((float(h),
+                      float(np.max(np.abs(ref.positions[:n] - ex.positions[:n]))),
+                      float(np.max(np.abs(ref.scales[:n] - ex.scales[:n])))))
     order, _ = fit_scaling_exponent((h, dev_c) for h, _, dev_c in per_h)
     return GronwallReport(sup_dev_position=max(p[1] for p in per_h),
                           sup_dev_scale=max(p[2] for p in per_h),

@@ -125,10 +125,11 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
                  snapshot_stride: int, gammas, y0s) -> list:
     """VirialReports for every (gamma, y0, window) combination.
 
-    The localizer specs are checked first, then the orthogonality of the
-    initial data, then the run's inputs, with t_end an even number, at
-    least 4, of snapshot intervals dt * snapshot_stride, so the half window
-    is T/2 and both windows span whole intervals.  The forced linearized
+    An empty gammas or y0s list is a usage error.  The localizer specs are
+    checked first, then the orthogonality of the initial data, then the
+    run's inputs, with t_end an even number, at least 4, of snapshot
+    intervals dt * snapshot_stride, so the half window is T/2 and both
+    windows span whole intervals.  The forced linearized
     evolution from `initial` to `t_end` is read once, snapshot by
     snapshot.  Per snapshot, its L2 norm is taken once and, per center,
     its localized mass and its pairing with that center's W_f, so the
@@ -137,9 +138,10 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
     claim is that for fixed gamma the ratios are uniform across centers
     and window lengths.
     """
+    for name, values in (("gammas", gammas), ("y0s", y0s)):
+        if len(values) == 0:
+            raise UsageError(f"{name} must be nonempty")
     specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
-    if not specs:
-        return []
     _check_initial_orthogonality(initial)
     dt_snap = dt * snapshot_stride
     intervals, rest = divmod(_step_count(t_end, dt, snapshot_stride), snapshot_stride)

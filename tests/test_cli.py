@@ -164,6 +164,17 @@ def test_t_end_must_be_finite_and_positive(tmp_path, capsys, command, t_end):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
 
 
+def test_config_key_set_twice_exits_2(tmp_path, capsys):
+    # a repeated key is an error, not a silent overwrite, and nothing is written
+    code = main(["--config", _small_config(tmp_path, "dt = 0.01\ndt = 0.02\n"),
+                 "--out", str(tmp_path), "trajectories"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: config line 4: key 'dt' is already set on line 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+
+
 @pytest.mark.parametrize("stride", ["0", "-5"])
 @pytest.mark.parametrize("command", ["virial", "theorem-sweep"])
 def test_snapshot_stride_below_one_exits_2(tmp_path, capsys, command, stride):
@@ -200,8 +211,9 @@ def test_theorem_sweep_rejects_h_one(tmp_path, capsys):
 def test_theorem_sweep_checks_n_points_before_any_horizon(tmp_path, capsys, monkeypatch):
     horizons = []
     monkeypatch.setattr(experiments, "_horizon", lambda *args: horizons.append(args))
-    code = main(["--config", _small_config(tmp_path, "n_points = 1000\n"),
-                 "--out", str(tmp_path), "theorem-sweep"])
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_points = 1000\ndomain_length = 128\n", encoding="utf-8")
+    code = main(["--config", str(cfg), "--out", str(tmp_path), "theorem-sweep"])
     err = capsys.readouterr().err
     assert code == 2 and horizons == []
     assert err == "error: n_points must be a power of two >= 8, got 1000\n"

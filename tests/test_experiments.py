@@ -72,6 +72,11 @@ class TestParseConfig:
                            match=r"^h_list values must lie in \(0, 1\), got .*zero at h = 1$"):
             parse_config(line)
 
+    def test_key_set_twice_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^config line 3: key 'dt' is already set on line 1$"):
+            parse_config("dt = 0.01\n# a comment\ndt = 0.02")
+
     @pytest.mark.parametrize("value", ["1000", "4", "0", "-8"])
     def test_n_points_follows_the_grid_rule(self, value):
         with pytest.raises(ConfigurationError,

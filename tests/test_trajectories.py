@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, replace
 
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 from bolab import (ExperimentConfig, PotentialSpec, fit_scaling_exponent,
-                   gronwall_compare, gronwall_sweep, integrate_exact,
-                   integrate_reference, trajectories)
+                   gronwall_sweep, integrate_exact, integrate_reference,
+                   trajectories)
+from bolab.cli import build_parser
 from bolab.errors import ConfigurationError, UsageError
 from bolab.experiments import _horizon
 
@@ -218,15 +220,47 @@ class TestIntegrators:
         assert rep.sup_dev_scale == max(p[2] for p in rep.per_h)
 
     def test_sweep_matches_both_flows_per_h(self):
-        hs = (0.2, 0.1, 0.05)
+        # a shape that varies with h: one reference flow per h
+        hs = (0.2, 0.1, 0.05, 0.025)
         want = []
         for h in hs:
-            pot = PotentialSpec.bump(h)
-            devs = gronwall_compare(integrate_reference(pot, 2.0),
-                                    integrate_exact(pot, 2.0))
-            assert type(devs) is tuple and len(devs) == 2   # (sup|A_dev|, sup|C_dev|)
-            want.append((h, *devs))
-        assert gronwall_sweep(lambda h: PotentialSpec.bump(h), hs, 2.0).per_h == want
+            pot = PotentialSpec.bump(h, amplitude=h)
+            ref, ex = integrate_reference(pot, 1.5), integrate_exact(pot, 1.5)
+            assert ref.stop_time is None
+            want.append((h, float(np.max(np.abs(ref.positions - ex.positions))),
+                         float(np.max(np.abs(ref.scales - ex.scales)))))
+        per_h = gronwall_sweep(lambda h: PotentialSpec.bump(h, amplitude=h), hs, 1.5).per_h
+        assert per_h == want
+        assert all(type(v) is float for row in per_h for v in row)
+
+    def test_default_sweep_is_the_sup_over_every_shared_sample(self):
+        # the `bolab trajectories` defaults; the samples are matched by their
+        # times, and every sample of both flows is shared
+        args, cfg = build_parser().parse_args(["trajectories"]), ExperimentConfig()
+        def factory(h):
+            return PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
+        rep = gronwall_sweep(factory, args.h_sweep, args.s_end)
+        for h, dev_a, dev_c in rep.per_h:
+            ref = integrate_reference(factory(h), args.s_end)
+            ex = integrate_exact(factory(h), args.s_end)
+            assert np.array_equal(ref.times, ex.times)
+            assert dev_a == np.max(np.abs(ref.positions - ex.positions))
+            assert dev_c == np.max(np.abs(ref.scales - ex.scales))
+
+    def test_stopped_reference_sup_leaves_out_only_the_stop_sample(self):
+        # the reference stops at s = 2.469 inside a step; the corrected flow
+        # runs to s_end on the same grid
+        def factory(h):
+            return PotentialSpec.bump(h, amplitude=2.0)
+        rep = gronwall_sweep(factory, (0.2, 0.1, 0.05), 4.0)
+        for h, dev_a, dev_c in rep.per_h:
+            ref, ex = integrate_reference(factory(h), 4.0), integrate_exact(factory(h), 4.0)
+            n = ref.times.size - 1
+            assert ref.times[-1] == ref.stop_time and ex.times[-1] == 4.0
+            assert np.array_equal(ref.times[:n], ex.times[:n])
+            assert ex.times[n - 1] < ref.stop_time < ex.times[n]
+            assert dev_a == np.max(np.abs(ref.positions[:n] - ex.positions[:n]))
+            assert dev_c == np.max(np.abs(ref.scales[:n] - ex.scales[:n]))
 
     @pytest.mark.parametrize("factory, expected", [
         (lambda h: PotentialSpec.bump(h), [0.2]),
@@ -296,9 +330,13 @@ class TestScalingFit:
         [(0.2, 1.0), (-0.1, 0.5), (0.05, 0.1)],             # a negative h
         [(0.2, 1.0), (0.1, math.inf), (0.05, 0.1)],         # an infinite value
         [(math.inf, 1.0), (0.1, 0.5), (0.05, 0.1)],         # an infinite h
+        [(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)],               # one h three times
+        [(0.2, 1.0), (0.1, 0.5), (0.1, 0.4)],               # two equal h
     ])
     def test_no_order(self, points):
-        assert fit_scaling_exponent(points) == (None, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_scaling_exponent(points) == (None, None)
 
     @pytest.mark.parametrize("hs", [(0.2, 0.1, 0.05), (0.2, 0.1, 0.05, 0.025)])
     def test_order_is_the_polyfit_slope(self, hs):

@@ -164,6 +164,15 @@ def test_sweep_matches_per_window_calls(grid):
                 assert r.ratio == r.lhs / (r.rhs_norm + abs(r.g_remainder))
 
 
+@pytest.mark.parametrize("gammas, y0s, name", [((), (0.0,), "gammas"),
+                                                ((0.05,), (), "y0s")],
+                         ids=["gammas", "y0s"])
+def test_sweep_rejects_an_empty_list(grid, gammas, y0s, name):
+    # raised before any other input is read: these are all invalid too
+    with pytest.raises(UsageError, match=f"^{name} must be nonempty$"):
+        virial_sweep(Field.zeros(grid), None, np.nan, -1.0, 0, gammas, y0s)
+
+
 def test_sweep_windows_span_whole_snapshot_intervals(grid):
     # 52 steps at stride 5 would end on a state 2 steps after the last
     # snapshot; the full window of a whole run ends at t_end
