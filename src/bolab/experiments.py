@@ -4,11 +4,14 @@ residual tables, and reproducible reporting.
 A sweep member evolves the potential-perturbed flow from a soliton plus
 a Gaussian perturbation of H^{1/2} size delta_scale h^{3/2}, extracts
 the symplectic parameter track, compares it against the corrected
-parameter ODE, and reports envelope-normalized remainder norms.  Orders
-in h come from `trajectories.fit_scaling_exponent`, the fit the Gronwall
-sweep uses too: least-squares slopes in log-log coordinates with their
-standard errors, or None where no order is defined.  Residual integrals
-are ``np.trapezoid`` in time.  Raw CSVs accompany every summary record.
+parameter ODE, and reports envelope-normalized remainder norms.  The
+ODE's RK4 steps onto every snapshot, so each snapshot is compared with
+the corrected flow's own sample at its time; nothing is interpolated.
+Orders in h come from `trajectories.fit_scaling_exponent`, the fit the
+Gronwall sweep uses too: least-squares slopes in log-log coordinates
+with their standard errors, or None where no order is defined.  Residual
+integrals are ``np.trapezoid`` in time.  Raw CSVs accompany every
+summary record.
 
 Config files are flat ``key = value`` text (UTF-8, ``#`` comments,
 comma-separated lists).
@@ -24,7 +27,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (ConfigurationError, ExperimentError, UsageError, require_count,
                      require_positive)
@@ -33,9 +35,9 @@ from .grid import Field, Grid, sobolev_norm
 from .modulation import ParameterTrack, _fits, _track_record, _write_track_rows
 from .potential import PotentialSpec
 from .soliton import SolitonParams, soliton_field
-from .trajectories import (SCALE_STOP_HIGH, SCALE_STOP_LOW, convert_frame, exact_rhs,
-                           fit_scaling_exponent, integrate_exact, integrate_reference,
-                           write_trajectory_csv)
+from .trajectories import (ODE_STEP, SCALE_STOP_HIGH, SCALE_STOP_LOW, convert_frame,
+                           exact_rhs, fit_scaling_exponent, integrate_exact,
+                           integrate_reference, write_trajectory_csv)
 
 SCHEMA_VERSION = 1
 
@@ -196,7 +198,9 @@ def build_perturbation(grid: Grid, delta: float) -> Field:
 class SweepMember:
     h: float
     t_end: float
-    sup_envelope_ratio: float       # sup_t ||u - q_{a_hat, c_hat}||_{H^1/2} / e^{mu0 h t}
+    # sup over snapshots t of ||u - q_{a_hat, c_hat}||_{H^1/2} / e^{mu0 h t}, with
+    # (a_hat, c_hat) the corrected flow's RK4 sample at t
+    sup_envelope_ratio: float
     sup_envelope_time: float        # the first snapshot time where that sup is reached
     envelope_ratio_t0: float        # the ratio at t = 0, where the seed sits
     sup_local_time_norm: float      # sup_n of the time-L2 unit-cell norm of the remainder
@@ -230,7 +234,7 @@ def _horizon(cfg: ExperimentConfig, pot: PotentialSpec, h: float) -> float:
     """T0 = min(ln(1/h)/(4 mu0 h), S0/h), rounded down to a snapshot multiple."""
     t0 = math.log(1.0 / h) / (4.0 * cfg.mu0 * h)
     # A stop event after h*T0 cannot lower min(T0, stop/h): integrate to h*T0 only.
-    ref = integrate_reference(pot, s_end=h * t0 * (1.0 + 1e-12), ds=1e-3)
+    ref = integrate_reference(pot, s_end=h * t0 * (1.0 + 1e-12))
     if ref.stop_time is not None:
         t0 = min(t0, ref.stop_time / h)
     dt_snap = cfg.dt * cfg.snapshot_stride
@@ -247,8 +251,13 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
 
     Each snapshot is fitted as the evolution yields it, compared with the
     corrected trajectory (seeded from the first fit), and reduced to
-    scalars: its envelope ratio, its track-CSV row and its remainder's
-    cell masses.  The row and the cell norms are the fit's one
+    scalars.  The corrected flow takes m = ceil(h dt_snap / ODE_STEP) RK4
+    steps of ds = h dt_snap / m per snapshot interval (the ceiling after a
+    1e-9 slack, so a float quotient of 10.000000000000002 is 10 steps), out
+    to s = h t_end, so snapshot k is compared with its sample k m;
+    `t_end` is a whole number of snapshot intervals, as `_horizon` gives.
+    The scalars are the envelope ratio, the track-CSV row and the
+    remainder's cell masses.  The row and the cell norms are the fit's one
     `modulation._track_record`; the masses are the squared norms.  The
     first fault in time order stops the member.  Returns the member,
     whose residual integrals cover its whole horizon, and its residual
@@ -263,6 +272,8 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
     snapshots = _pbo_snapshots(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
                                cfg.snapshot_stride)
     mu0h = cfg.mu0 * h
+    dt_snap = cfg.dt * cfg.snapshot_stride
+    m = math.ceil(h * dt_snap / ODE_STEP - 1e-9)
     times, a, c, ratios, rows = [], [], [], [], []
     for k, (t, d) in enumerate(_fits(snapshots, "symplectic", SolitonParams(0.0, 1.0))):
         times.append(t)
@@ -278,14 +289,12 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
         if k == 0:
             cell_mass = 0.5 * sq
             # the corrected parameter trajectory from the first fit
-            ex = convert_frame(integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12),
-                                               ds=1e-3, y0=(h * a[0], c[0])), h)
-            a_hat = CubicSpline(ex.times, ex.positions)
-            c_hat = CubicSpline(ex.times, ex.scales)
+            ex = convert_frame(integrate_exact(pot, s_end=h * t_end, ds=h * dt_snap / m,
+                                               y0=(h * a[0], c[0])), h)
         elif k > 1:
             cell_mass += last_sq
         last_sq = sq
-        qhat = soliton_field(grid, SolitonParams(float(a_hat(t)), float(c_hat(t))))
+        qhat = soliton_field(grid, SolitonParams(ex.positions[k * m], ex.scales[k * m]))
         ratios.append(sobolev_norm(d.field - qhat, 0.5) / math.exp(mu0h * t))
     sup_local = float(np.sqrt(np.max((cell_mass + 0.5 * last_sq) * (times[1] - times[0]))))
 

@@ -1,7 +1,9 @@
 """Reference and second-order-corrected parameter trajectories.
 
 Both systems integrate with classic fixed-step RK4 in the slow time
-s = h*t.  The reference flow is
+s = h*t, at the default step ds = ODE_STEP; a theorem-sweep member
+shortens it so that its steps land on every snapshot.  The reference
+flow is
 
     A' = C - W(A),          C' = C W'(A),
 
@@ -64,6 +66,7 @@ FRAMES = ("slow_s", "fast_t")
 KINDS = ("reference", "exact")
 SCALE_STOP_LOW = 0.5
 SCALE_STOP_HIGH = 2.0
+ODE_STEP = 1e-3             # the default RK4 step ds in slow time
 _REFERENCE_H = 1.0          # the reference flow's cache key does not vary with h
 
 
@@ -166,7 +169,7 @@ def _integrated(kind: str, pot: PotentialSpec, s_end: float, ds: float, y0: tupl
     return times, pos, sc, stop
 
 
-def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> TrajectoryState:
+def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = ODE_STEP) -> TrajectoryState:
     """Reference flow from (A, C)(0) = (0, 1); stops early if C hits 1/2 or 2."""
     s_end, ds = require_positive("s_end", s_end), require_positive("ds", ds)
     times, pos, sc, stop = _integrated("reference", replace(pot, h=_REFERENCE_H),
@@ -174,7 +177,7 @@ def integrate_reference(pot: PotentialSpec, s_end: float, ds: float = 1e-3) -> T
     return TrajectoryState("slow_s", "reference", times, pos, sc, stop_time=stop)
 
 
-def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = 1e-3,
+def integrate_exact(pot: PotentialSpec, s_end: float, ds: float = ODE_STEP,
                     y0=(0.0, 1.0)) -> TrajectoryState:
     """Second-order-corrected flow from (A, C)(0) = y0 (slow frame: A = h a).
 
@@ -230,7 +233,7 @@ class GronwallReport:
     per_h: list                         # (h, sup|A_dev|, sup|C_dev|) per h
 
 
-def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = 1e-3) -> GronwallReport:
+def gronwall_sweep(pot_factory, h_values, s_end: float, ds: float = ODE_STEP) -> GronwallReport:
     """Compare reference vs corrected flow across h and fit the deviation order.
 
     pot_factory(h) must return the potential at slow scale h.  Each sup

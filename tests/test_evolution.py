@@ -15,7 +15,7 @@ from bolab import (ConfigurationError, EvolutionError, EvolutionState, Field,
                    Grid, PotentialSpec, SolitonParams, UsageError,
                    evolve_linearized, evolve_pbo, inner, invariants, l2_norm,
                    read_checkpoint, soliton_field, write_checkpoint)
-from bolab.evolution import _Etdrk4Tables, _evolve, _pbo_flow, _step_count
+from bolab.evolution import _Etdrk4Tables, _evolve, _pbo_flow, _pbo_snapshots, _step_count
 from bolab.experiments import fit_scaling_exponent
 from bolab.soliton import profile, profile_derivative
 
@@ -144,6 +144,22 @@ class TestConservation:
                           5.0, 0.005, snapshot_stride=1000).states[-1]
         recovered = reflect(back.field)
         assert l2_norm(recovered - u0) <= 1e-6
+
+
+class TestScaleCovariance:
+    def test_free_flow_is_covariant_under_doubling(self):
+        # u(x, t) -> 2 u(2x, 4t) maps BO onto itself: with the box halved and
+        # dt quartered every factor is a power of two, so the c = 2 run is
+        # twice the c = 1 run at every snapshot, bit for bit
+        runs = []
+        for length, c, dt, t_end in ((256.0, 1.0, 0.01, 4.0), (128.0, 2.0, 0.0025, 1.0)):
+            u0 = soliton_field(Grid(2048, length), SolitonParams(0.0, c))
+            runs.append(list(_pbo_snapshots(EvolutionState(0.0, u0, None), t_end, dt, 100)))
+        one, two = runs
+        assert len(one) == len(two) == 5
+        for s1, s2 in zip(one, two):
+            assert s2.time == s1.time / 4
+            assert np.max(np.abs(2.0 * s1.field.values - s2.field.values)) == 0.0
 
 
 class TestInvariants:

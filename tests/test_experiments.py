@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from bolab import (ConfigurationError, Decomposition, EvolutionState, ExperimentConfig,
                    ExperimentError, Field, Grid, ParameterTrack, PotentialSpec, SolitonParams,
@@ -227,26 +226,35 @@ class TestRunMember:
         assert snapshots > 1
         assert len(calls) == snapshots
 
-    def test_one_pass_matches_the_list_path(self, tmp_path):
-        # the list path keeps every snapshot and fit, then walks them again
+    @pytest.mark.parametrize("delta_scale", [1.0, 1e-4])
+    def test_one_pass_matches_the_list_path(self, tmp_path, delta_scale):
+        # the list path keeps every snapshot and fit, then walks them again;
+        # at delta_scale = 1e-4 the ratio's sup sits at the horizon, not at
+        # the seed, so the == reads the corrected flow away from its start
         h = 0.2
-        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,),
+                               delta_scale=delta_scale)
         pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
         t_end = _horizon(cfg, pot, h)
         m, table = _run_member(cfg, h, t_end, tmp_path)
+        assert m.sup_envelope_time == (0.0 if delta_scale == 1.0 else t_end)
 
         grid = Grid(cfg.n_points, cfg.domain_length)
-        u0 = soliton_field(grid, SolitonParams(0.0, 1.0)) + build_perturbation(grid, h ** 1.5)
+        u0 = (soliton_field(grid, SolitonParams(0.0, 1.0))
+              + build_perturbation(grid, delta_scale * h ** 1.5))
         res = evolve_pbo(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
                          snapshot_stride=cfg.snapshot_stride)
         track = track_parameters(res.states, "symplectic", SolitonParams(0.0, 1.0))
         write_track_csv(tmp_path / "list.csv", track)
         assert (tmp_path / "list.csv").read_bytes() == Path(m.csv_track).read_bytes()
 
-        ex = convert_frame(integrate_exact(pot, s_end=h * t_end * (1.0 + 1e-12), ds=1e-3,
+        # h dt_snap = 0.02 is 20 RK4 steps: every 20th sample is a snapshot's
+        steps = 20
+        ds = h * (cfg.dt * cfg.snapshot_stride) / steps
+        ex = convert_frame(integrate_exact(pot, s_end=h * t_end, ds=ds,
                                            y0=(h * track.a[0], track.c[0])), h)
-        a_hat = CubicSpline(ex.times, ex.positions)(res.times)
-        c_hat = CubicSpline(ex.times, ex.scales)(res.times)
+        a_hat, c_hat = ex.positions[::steps], ex.scales[::steps]
+        assert np.allclose(ex.times[::steps], res.times, rtol=1e-14, atol=0)
         ratios = [sobolev_norm(s.field - soliton_field(grid, SolitonParams(a, c)), 0.5)
                   / math.exp(cfg.mu0 * h * s.time)
                   for s, a, c in zip(res.states, a_hat, c_hat)]
@@ -259,6 +267,23 @@ class TestRunMember:
         full = ode_residuals(track, pot)
         assert np.array_equal(table.residual_c, full.residual_c)
         assert m.residual_c_integral_full == m.residual_c_integral == full.integral_c
+
+    def test_corrected_flow_steps_onto_every_snapshot(self, tmp_path):
+        # h dt_snap = 12.5e-3 is m = 13 RK4 steps per snapshot interval, so
+        # the J = 41 intervals to t_end = 4.1 write J m + 1 samples, the
+        # last at t_end, with no near-duplicate tail sample after it
+        h = 0.125
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0, h_list=(h,))
+        pot = PotentialSpec.bump(h, cfg.bump_amplitude, cfg.bump_width)
+        t_end = _horizon(cfg, pot, h)
+        assert t_end == pytest.approx(4.1, rel=1e-15)
+        m, _ = _run_member(cfg, h, t_end, tmp_path)
+        t = np.loadtxt(m.csv_trajectory, delimiter=",", skiprows=1, usecols=0)
+        snap_t = np.loadtxt(m.csv_track, delimiter=",", skiprows=1, usecols=0)
+        assert t.size == 41 * 13 + 1 == 534
+        assert t[-1] == pytest.approx(t_end, rel=1e-14)
+        assert np.min(np.diff(t)) > 1e-9
+        assert np.allclose(t[::13], snap_t, rtol=1e-14, atol=0)
 
     def test_fits_are_held_to_the_trajectory_window(self, monkeypatch, tmp_path):
         # the member reads the scale window of the reference flow's stop

@@ -1,6 +1,9 @@
 """Source-level guards on the package modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,8 +149,8 @@ CACHES_ALLOWED = {
                        "`bolab virial`, 2310/1 in `bolab theorem-sweep`, 600/1 "
                        "in the member-h0.05 workload",
     "_integrated": "trajectories: hits/misses 4/4 in `bolab trajectories` and "
-                   "its workload, 0/6 in `bolab theorem-sweep`, 23/17 over "
-                   "the test suite",
+                   "its workload, 0/6 in `bolab theorem-sweep`, 24/16 over "
+                   "the test suite after its last cache_clear",
 }
 CACHE_DECORATORS = {"lru_cache", "cache"}
 
@@ -184,3 +187,13 @@ def test_module_caches_have_listed_traffic():
     found = set().union(*(_cached_functions(p.read_text(encoding="utf-8"))
                           for p in SOURCES))
     assert found == set(CACHES_ALLOWED)
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # the sweep member reads the corrected flow at its own RK4 samples, so
+    # no module of the package needs an interpolant
+    code = "import sys, bolab.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bolab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"

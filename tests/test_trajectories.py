@@ -186,6 +186,19 @@ class TestIntegrators:
         assert np.array_equal(default.positions, explicit.positions)
         assert np.array_equal(default.scales, explicit.scales)
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    def test_exact_flow_is_covariant_under_doubling(self, h):
+        # (C, amplitude, h, s) -> (2C, 2 amplitude, 2h, s/2) maps the corrected
+        # ODE onto itself; every factor is a power of two, so the RK4 at ds/2
+        # maps onto the RK4 at ds bit for bit
+        ds = trajectories.ODE_STEP
+        one = integrate_exact(PotentialSpec.bump(h, 0.2), 2.0, ds, y0=(0.0, 1.0))
+        two = integrate_exact(PotentialSpec.bump(2 * h, 0.4), 1.0, ds / 2, y0=(0.0, 2.0))
+        assert one.times.size == 2001
+        assert np.array_equal(two.times, one.times / 2)
+        assert np.array_equal(two.positions, one.positions)
+        assert np.array_equal(two.scales, 2 * one.scales)
+
     def test_scale_event_stops_reference_flow(self):
         tr = integrate_reference(PotentialSpec.bump(0.1, amplitude=1.2), 4.0)
         assert tr.stop_time == pytest.approx(1.5252365775, abs=1e-9)
