@@ -303,6 +303,17 @@ def _step_count(t_end: float, dt: float, snapshot_stride: int = 1) -> int:
     return n_steps
 
 
+def _snapshot_intervals(t_end: float, dt: float, snapshot_stride: int) -> int:
+    """Snapshot intervals dt * snapshot_stride in a run to t_end, once
+    `_step_count` passes and the steps are a whole number of intervals;
+    otherwise the run's last state would close a shorter one."""
+    intervals, rest = divmod(_step_count(t_end, dt, snapshot_stride), snapshot_stride)
+    if rest:
+        raise ConfigurationError(f"t_end must be a multiple of the snapshot interval "
+                                 f"{dt * snapshot_stride:g}, got {t_end}")
+    return intervals
+
+
 def _evolve(initial: EvolutionState, n_steps: int, dt: float, snapshot_stride: int,
             flow, guard=None):
     """Take n_steps steps from `initial`, yielding it, every stride-th state

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, ExperimentError, UsageError, require_count,
                      require_positive)
-from .evolution import EvolutionState, _pbo_snapshots
+from .evolution import EvolutionState, _pbo_snapshots, _snapshot_intervals
 from .grid import Field, Grid, sobolev_norm
 from .modulation import ParameterTrack, _fits, _track_record, _write_track_rows
 from .potential import PotentialSpec
@@ -255,7 +255,8 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
     steps of ds = h dt_snap / m per snapshot interval (the ceiling after a
     1e-9 slack, so a float quotient of 10.000000000000002 is 10 steps), out
     to s = h t_end, so snapshot k is compared with its sample k m;
-    `t_end` is a whole number of snapshot intervals, as `_horizon` gives.
+    `t_end` must be a whole number of snapshot intervals, as `_horizon`
+    gives; any other is a ConfigurationError before the first step.
     The scalars are the envelope ratio, the track-CSV row and the
     remainder's cell masses.  The row and the cell norms are the fit's one
     `modulation._track_record`; the masses are the squared norms.  The
@@ -269,6 +270,7 @@ def _run_member(cfg: ExperimentConfig, h: float, t_end: float, out_dir: Path):
     delta = cfg.delta_scale * h ** 1.5
     q0 = soliton_field(grid, SolitonParams(0.0, 1.0))
     u0 = q0 + build_perturbation(grid, delta)
+    _snapshot_intervals(t_end, cfg.dt, cfg.snapshot_stride)
     snapshots = _pbo_snapshots(EvolutionState(0.0, u0, pot), t_end, cfg.dt,
                                cfg.snapshot_stride)
     mu0h = cfg.mu0 * h

@@ -3,8 +3,13 @@
 W is the paper's compactly supported smooth shape, the bump
 W(x) = beta * exp(-1/(1 - (x/width)^2)) inside |x| < width and zero
 outside, with closed-form W', W'', W''' (the corrected parameter ODE
-reads W''').  The free equation has no potential: the evolution layer
-and ``invariants`` take ``potential=None`` for it.
+reads W''').  The scalar path takes all four as exactly 0 from
+|s/width| = _BUMP_EDGE on (the outside rule), and
+`PotentialSpec.vanishes_at(s)` is that rule as a predicate: where it is
+true, ``shape_derivatives(s)`` is (0.0, 0.0, 0.0, 0.0), so the parameter
+flows right of the bump are free translation.  The free equation has no
+potential: the evolution layer and ``invariants`` take
+``potential=None`` for it.
 
 `PotentialSpec` is a frozen dataclass: specs compare and hash by value,
 so the trajectory cache keys on the spec itself.  It checks the paper's
@@ -103,6 +108,11 @@ class PotentialSpec:
         for v, vm in zip(out, inside):
             v[m] = vm
         return out
+
+    def vanishes_at(self, s: float) -> bool:
+        """True where the scalar path of `shape_derivatives` returns
+        (0.0, 0.0, 0.0, 0.0): its outside rule, not |s/width| < _BUMP_EDGE."""
+        return not abs(s / self.width) < _BUMP_EDGE
 
     def sampled_potential(self, x):
         """V(x) = W(h*x) on physical coordinates x."""

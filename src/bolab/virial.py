@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UsageError, require_positive
-from .evolution import EvolutionState, _linearized_snapshots, _step_count
+from .evolution import EvolutionState, _linearized_snapshots, _snapshot_intervals
 from .grid import (Field, LocalizerSpec, derivative, dgamma_inverse,
                    dgamma_inverse_adjoint, inner, l2_norm, localizer, sobolev_norm)
 from .operators import SymmetricOperator
@@ -144,11 +144,7 @@ def virial_sweep(initial: Field, forcing: Field | None, t_end: float, dt: float,
     specs = [LocalizerSpec(gamma, y0) for gamma in gammas for y0 in y0s]
     _check_initial_orthogonality(initial)
     dt_snap = dt * snapshot_stride
-    intervals, rest = divmod(_step_count(t_end, dt, snapshot_stride), snapshot_stride)
-    if rest:
-        # the run's last state would close a window shorter than dt_snap
-        raise ConfigurationError(
-            f"t_end must be a multiple of the snapshot interval {dt_snap:g}, got {t_end}")
+    intervals = _snapshot_intervals(t_end, dt, snapshot_stride)
     if intervals < 4 or intervals % 2:
         # the half window is T/2, at least two intervals long
         raise ConfigurationError(

@@ -285,6 +285,20 @@ class TestRunMember:
         assert np.min(np.diff(t)) > 1e-9
         assert np.allclose(t[::13], snap_t, rtol=1e-14, atol=0)
 
+    def test_rejects_a_horizon_off_the_snapshot_grid(self, monkeypatch, tmp_path):
+        # t_end = 1.05 is 105 steps of dt = 0.01 at stride 10: the last state
+        # would close a half interval that the corrected flow has no sample
+        # for, so the member refuses it before its first step
+        h = 0.2
+        cfg = ExperimentConfig(n_points=1024, domain_length=256.0)
+        monkeypatch.setattr(experiments, "_fits",
+                            lambda *args: pytest.fail("the member started its run"))
+        with pytest.raises(ConfigurationError,
+                           match=r"^t_end must be a multiple of the snapshot interval 0.1, "
+                                 r"got 1.05$"):
+            _run_member(cfg, h, 1.05, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_fits_are_held_to_the_trajectory_window(self, monkeypatch, tmp_path):
         # the member reads the scale window of the reference flow's stop
         # rule: a lower edge above every fit stops it at the first snapshot

@@ -10,10 +10,11 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bolab import (ExperimentConfig, PotentialSpec, fit_scaling_exponent,
                    gronwall_sweep, integrate_exact, integrate_reference,
-                   trajectories)
+                   potential, trajectories)
 from bolab.cli import build_parser
 from bolab.errors import ConfigurationError, UsageError
 from bolab.experiments import _horizon
@@ -64,6 +65,30 @@ def _array_integrate(rhs, s_end, ds, y0=(0.0, 1.0)):
         ys.append(y.copy())
     arr = np.array(ys)
     return np.array(times), arr[:, 0], arr[:, 1]
+
+
+def _plain_integrate(rhs, s_end, ds, detect_stop, y0):
+    """Every step through `trajectories._rk4_step`, with no free tail: the
+    loop `_integrate` runs inside the support, kept as its bit-for-bit oracle."""
+    steps = int(math.ceil(s_end / ds - 1e-12))
+    y = (float(y0[0]), float(y0[1]))
+    times, ys, stop = [0.0], [y], None
+    for k in range(steps):
+        step_len = min(ds, s_end - k * ds)
+        y_next = trajectories._rk4_step(rhs, y, step_len)
+        bound = trajectories._scale_event(y[1], y_next[1]) if detect_stop else None
+        if bound is not None:
+            part = brentq(lambda d: trajectories._rk4_step(rhs, y, d)[1] - bound,
+                          0.0, step_len, xtol=1e-10)
+            stop = k * ds + part
+            times.append(stop)
+            ys.append(trajectories._rk4_step(rhs, y, part))
+            break
+        y = y_next
+        times.append(min((k + 1) * ds, s_end))
+        ys.append(y)
+    arr = np.array(ys)
+    return np.array(times), arr[:, 0], arr[:, 1], stop
 
 
 def _csv_writer_csv(path, tr):
@@ -141,6 +166,28 @@ class TestShapeDerivatives:
             assert pot.shape_derivatives(s) == (0.0, 0.0, 0.0, 0.0)
         assert pot.shape_derivatives(0.0)[0] == pytest.approx(0.2 * math.exp(-1.0))
 
+    @pytest.mark.parametrize("width", [0.5, 1.0, 3.0])
+    def test_vanishes_where_the_scalar_path_is_zero(self, width):
+        # the predicate and the scalar path's outside rule are one test: at
+        # the edge, its three float neighbours either side and ten points
+        # beyond, a "vanishes" is a scalar path that returns exact zeros
+        pot = PotentialSpec.bump(0.1, amplitude=0.7, width=width)
+        pts = []
+        for sign in (1.0, -1.0):
+            edge = sign * width * potential._BUMP_EDGE
+            pts.append(edge)
+            for direction in (math.inf, -math.inf):
+                s = edge
+                for _ in range(3):
+                    s = float(np.nextafter(s, direction))
+                    pts.append(s)
+            pts += [edge + sign * width * d for d in np.geomspace(1e-12, 10.0, 10)]
+        outside = [s for s in pts if pot.vanishes_at(s)]
+        assert len(outside) >= 2 * 10
+        for s in outside:
+            assert pot.shape_derivatives(s) == (0.0, 0.0, 0.0, 0.0)
+        assert not any(pot.vanishes_at(width * t) for t in (0.0, 0.5, -0.5, 0.999))
+
     def test_specs_compare_and_hash_by_value(self):
         a, b = PotentialSpec.bump(0.1, 0.3, 1.5), PotentialSpec(0.1, 0.3, 1.5)
         assert a is not b and a == b and hash(a) == hash(b)
@@ -216,7 +263,7 @@ class TestIntegrators:
         assert abs(tr.stop_time - bisection_stop) <= 1e-10
         assert abs(tr.scales[-1] - 0.5) <= 1e-10
         times, pos, sc, stop = trajectories._integrate(
-            trajectories._reference_rhs(pot), 4.0, 1e-3, False, (0.0, 1.0))
+            trajectories._reference_rhs(pot), pot, 4.0, 1e-3, False, (0.0, 1.0))
         assert stop is None and times[-1] == 4.0
         n = tr.times.size - 1                   # the samples before the event
         assert _same_bits([v[:n] for v in _arrays(tr)], (times[:n], pos[:n], sc[:n]))
@@ -335,6 +382,64 @@ class TestIntegrators:
             assert got.read_bytes() == want.read_bytes()
 
 
+class TestFreeTail:
+    """Right of the bump `_integrate` writes the rest of the flow in closed
+    form; every TrajectoryState must be the plain loop's, bit for bit."""
+
+    CASES = [   # (h, amplitude, width, s_end, ds, y0)
+        (0.1, 0.2, 1.0, 2.0, 1e-3, (0.0, 1.0)),       # the tail from s ~ 1.08
+        (0.1, 0.2, 1.0, 2.0005, 1e-3, (0.0, 1.0)),    # a partial last step
+        (0.1, 0.2, 1.0, 3.3, 7e-4, (0.0, 1.0)),       # ds does not divide s_end
+        (0.1, 0.2, 1.0, 2.0, 1e-3, (1.5, 1.0)),       # the tail from step 0
+        (0.1, 3.0, 1.0, 4.0, 1e-3, (0.0, 1.0)),       # reflected: no tail
+        (0.1, -3.0, 1.0, 4.0, 1e-3, (0.0, 1.0)),      # C ~ 1.79 on the tail
+        (0.1, 1.5, 1.0, 4.0, 1e-3, (0.0, 1.0)),       # the reference stops on C = 1/2
+        (0.1, 0.9, 1.0, 4.0, 1e-3, (0.0, 1.0)),       # C ~ 0.58 on the tail
+        (0.1, 0.2, 0.5, 2.0, 1e-3, (0.0, 1.0)),
+        (0.1, 0.2, 3.0, 4.0, 1e-3, (0.0, 1.0)),
+        (0.2, 0.2, 1.0, 2.0, 1e-3, (0.0, 1.0)),
+        (0.025, 0.2, 1.0, 2.0, 1e-3, (0.0, 1.0)),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def _cold_cache(self):
+        trajectories._integrated.cache_clear()
+
+    @pytest.mark.parametrize("h, amplitude, width, s_end, ds, y0", CASES)
+    def test_flows_equal_the_plain_loop(self, h, amplitude, width, s_end, ds, y0):
+        pot = PotentialSpec.bump(h, amplitude, width)
+        flows = [(integrate_exact(pot, s_end, ds, y0=y0),
+                  (trajectories.exact_rhs(pot), s_end, ds, False, y0))]
+        if y0 == (0.0, 1.0):
+            flows.append((integrate_reference(pot, s_end, ds),
+                          (trajectories._reference_rhs(pot), s_end, ds, True, y0)))
+        for tr, args in flows:
+            times, pos, sc, stop = _plain_integrate(*args)
+            assert np.array_equal(tr.times, times)
+            assert np.array_equal(tr.positions, pos)
+            assert np.array_equal(tr.scales, sc)
+            assert tr.stop_time == stop
+
+    def test_tail_starts_where_the_flow_leaves_the_support(self, monkeypatch):
+        # four W evaluations per loop step and none on the tail: the default
+        # flows leave the support after 1082 (reference) and 1081 (corrected)
+        # of their 2000 steps, and a start right of it takes no step at all
+        calls = []
+        evaluate = PotentialSpec.shape_derivatives
+        monkeypatch.setattr(PotentialSpec, "shape_derivatives",
+                            lambda self, s: calls.append(s) or evaluate(self, s))
+        pot = PotentialSpec.bump(0.1)
+        for flow, steps in ((lambda: integrate_reference(pot, 2.0), 1082),
+                            (lambda: integrate_exact(pot, 2.0), 1081),
+                            (lambda: integrate_exact(pot, 2.0, y0=(1.5, 1.0)), 0)):
+            calls.clear()
+            tr = flow()
+            assert len(calls) == 4 * steps
+            assert tr.times.size == 2001 and tr.times[-1] == 2.0
+            assert pot.vanishes_at(tr.positions[steps])
+            assert np.all(tr.scales[steps:] == tr.scales[steps])
+
+
 class TestScalingFit:
     @pytest.mark.parametrize("points", [
         [(0.2, 1.0), (0.1, 0.5)],                           # two points
@@ -400,9 +505,9 @@ class TestIntegrationCache:
         y0 = (0.05, 1.0107)
         cases = [
             (lambda: integrate_reference(stops, 4.0),
-             (trajectories._reference_rhs(stops), 4.0, 1e-3, True, (0.0, 1.0))),
+             (trajectories._reference_rhs(stops), stops, 4.0, 1e-3, True, (0.0, 1.0))),
             (lambda: integrate_exact(pot, 2.0, y0=y0),
-             (trajectories.exact_rhs(pot), 2.0, 1e-3, False, y0)),
+             (trajectories.exact_rhs(pot), pot, 2.0, 1e-3, False, y0)),
         ]
         for call, args in cases:
             *want, stop = trajectories._integrate(*args)
